@@ -14,6 +14,13 @@ echo "==> cargo test -q (workspace, trace-dump-on-failure armed)"
 # as JSON lines for offline diffing.
 SELETH_TRACE_ON_FAIL="$(mktemp -d)" cargo test --workspace -q
 
+echo "==> perfbench self-test (tiny run of every benchmark workload)"
+# The benchmark is a package of its own, outside the workspace. Its
+# self-test replays longest_chain, uncle_events_with_cap and
+# account_with_events layer by layer and checks them against
+# Simulation::finalize, so settlement changes are gated here too.
+(cd perfbench && cargo test --release --offline)
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -138,19 +138,19 @@ pub fn account_with_events(
     events: &[UncleEvent],
 ) -> RewardReport {
     let mut report = RewardReport::default();
-    let on_chain: std::collections::HashSet<BlockId> = main_chain.iter().copied().collect();
-    let uncles: std::collections::HashSet<BlockId> = events.iter().map(|e| e.uncle).collect();
+    let on_chain = classify::membership(tree, main_chain.iter().copied());
+    let uncles = classify::membership(tree, events.iter().map(|e| e.uncle));
 
     for block in tree.iter() {
         if block.is_genesis() {
             continue;
         }
         let entry = report.per_miner.entry(block.miner()).or_default();
-        if on_chain.contains(&block.id()) {
+        if on_chain[block.id().index()] {
             entry.static_reward += schedule.static_reward();
             entry.regular_blocks += 1;
             report.regular_count += 1;
-        } else if uncles.contains(&block.id()) {
+        } else if uncles[block.id().index()] {
             entry.uncle_blocks += 1;
             report.uncle_count += 1;
         } else {

@@ -13,7 +13,7 @@
 //! difference `height(nephew) − height(uncle)`; it determines the uncle
 //! reward via `Ku(d)`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::block::BlockId;
 use crate::tree::BlockTree;
@@ -69,9 +69,9 @@ pub fn classify(
     max_distance: u64,
 ) -> HashMap<BlockId, BlockClass> {
     let mut classes: HashMap<BlockId, BlockClass> = HashMap::with_capacity(tree.len());
-    let on_chain: HashSet<BlockId> = main_chain.iter().copied().collect();
+    let on_chain = membership(tree, main_chain.iter().copied());
     for block in tree.iter() {
-        let class = if on_chain.contains(&block.id()) {
+        let class = if on_chain[block.id().index()] {
             BlockClass::Regular
         } else {
             BlockClass::Stale
@@ -117,25 +117,22 @@ pub fn uncle_events_with_cap(
     max_distance: u64,
     cap: Option<usize>,
 ) -> Vec<UncleEvent> {
-    let on_chain: HashSet<BlockId> = main_chain.iter().copied().collect();
-    let mut referenced: HashSet<BlockId> = HashSet::new();
+    let on_chain = membership(tree, main_chain.iter().copied());
+    let mut referenced = vec![false; tree.len()];
     let mut events = Vec::new();
     for &nephew in main_chain {
         let nephew_height = tree.height(nephew);
         let mut accepted = 0usize;
-        // Clone refs out to keep the borrow checker happy without an
-        // unnecessary tree API; headers carry at most a handful of refs.
-        let refs: Vec<BlockId> = tree.block(nephew).uncle_refs().to_vec();
-        for uncle in refs {
+        for &uncle in tree.block(nephew).uncle_refs() {
             if cap.is_some_and(|c| accepted >= c) {
                 break;
             }
-            if referenced.contains(&uncle) || on_chain.contains(&uncle) {
+            if referenced[uncle.index()] || on_chain[uncle.index()] {
                 continue;
             }
             let ub = tree.block(uncle);
             let Some(parent) = ub.parent() else { continue };
-            if !on_chain.contains(&parent) {
+            if !on_chain[parent.index()] {
                 continue;
             }
             let uncle_height = ub.height();
@@ -146,7 +143,7 @@ pub fn uncle_events_with_cap(
             if distance > max_distance {
                 continue;
             }
-            referenced.insert(uncle);
+            referenced[uncle.index()] = true;
             accepted += 1;
             events.push(UncleEvent {
                 uncle,
@@ -156,6 +153,19 @@ pub fn uncle_events_with_cap(
         }
     }
     events
+}
+
+/// Dense membership of `ids` in `tree`, indexed by [`BlockId::index`].
+///
+/// # Panics
+///
+/// Panics if an id is not in the tree.
+pub(crate) fn membership(tree: &BlockTree, ids: impl IntoIterator<Item = BlockId>) -> Vec<bool> {
+    let mut set = vec![false; tree.len()];
+    for id in ids {
+        set[id.index()] = true;
+    }
+    set
 }
 
 /// Count blocks per class (excluding genesis): `(regular, uncle, stale)`.

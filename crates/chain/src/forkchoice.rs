@@ -40,17 +40,11 @@ pub fn longest_chain_head(tree: &BlockTree, tie: TieBreak) -> BlockId {
     let mut best = tree.genesis();
     let mut best_height = 0u64;
     for block in tree.iter() {
-        let better = match block.height().cmp(&best_height) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Equal => match tie {
-                TieBreak::FirstSeen => false, // earlier id already kept
-                TieBreak::LastSeen => true,
-            },
-            std::cmp::Ordering::Less => false,
-        };
-        if better {
+        // Ids ascend, so on a tie FirstSeen keeps the block already held.
+        let h = block.height();
+        if h > best_height || (h == best_height && tie == TieBreak::LastSeen) {
             best = block.id();
-            best_height = block.height();
+            best_height = h;
         }
     }
     best
@@ -88,12 +82,7 @@ pub fn ghost_head(tree: &BlockTree, tie: TieBreak) -> BlockId {
         let mut best_weight = tree.subtree_size(best);
         for &child in &children[1..] {
             let w = tree.subtree_size(child);
-            let better = match w.cmp(&best_weight) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => tie == TieBreak::LastSeen,
-                std::cmp::Ordering::Less => false,
-            };
-            if better {
+            if w > best_weight || (w == best_weight && tie == TieBreak::LastSeen) {
                 best = child;
                 best_weight = w;
             }

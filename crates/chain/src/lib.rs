@@ -21,6 +21,8 @@
 //!   fixed-value schedules used in Section VI, and Bitcoin (no uncle
 //!   rewards).
 //! - [`accounting`]: per-miner reward tallies over a finished tree.
+//! - [`uncles`]: Ethereum's uncle-selection rule at mining time, shared by
+//!   every simulator.
 //!
 //! # Example: a fork resolved by a referencing nephew
 //!
@@ -52,8 +54,11 @@ mod block;
 pub mod classify;
 mod error;
 pub mod forkchoice;
+#[cfg(test)]
+mod oracle;
 mod rewards;
 mod tree;
+pub mod uncles;
 
 pub use block::{Block, BlockId, MinerId};
 pub use error::ChainError;

@@ -172,15 +172,7 @@ impl BlockTree {
     ///
     /// Panics if either id is not in the tree.
     pub fn is_ancestor(&self, ancestor: BlockId, descendant: BlockId) -> bool {
-        let target_height = self.height(ancestor);
-        let mut cur = descendant;
-        while self.height(cur) > target_height {
-            cur = self
-                .block(cur)
-                .parent
-                .expect("non-genesis block has a parent");
-        }
-        cur == ancestor
+        self.ancestor_at(descendant, self.height(ancestor)) == Some(ancestor)
     }
 
     /// The ancestor of `id` at exactly `height`, or `None` if `height`
@@ -195,12 +187,16 @@ impl BlockTree {
         }
         let mut cur = id;
         while self.height(cur) > height {
-            cur = self
-                .block(cur)
-                .parent
-                .expect("non-genesis block has a parent");
+            cur = self.parent_of(cur);
         }
         Some(cur)
+    }
+
+    /// Parent of a block known not to be genesis.
+    fn parent_of(&self, id: BlockId) -> BlockId {
+        self.block(id)
+            .parent
+            .expect("non-genesis block has a parent")
     }
 
     /// Path from genesis to `id`, inclusive on both ends.
@@ -225,28 +221,12 @@ impl BlockTree {
     ///
     /// Panics if either id is not in the tree.
     pub fn common_ancestor(&self, a: BlockId, b: BlockId) -> BlockId {
-        let (mut x, mut y) = (a, b);
-        while self.height(x) > self.height(y) {
-            x = self
-                .block(x)
-                .parent
-                .expect("non-genesis block has a parent");
-        }
-        while self.height(y) > self.height(x) {
-            y = self
-                .block(y)
-                .parent
-                .expect("non-genesis block has a parent");
-        }
+        let h = self.height(a).min(self.height(b));
+        let mut x = self.ancestor_at(a, h).expect("h is within a's height");
+        let mut y = self.ancestor_at(b, h).expect("h is within b's height");
         while x != y {
-            x = self
-                .block(x)
-                .parent
-                .expect("non-genesis block has a parent");
-            y = self
-                .block(y)
-                .parent
-                .expect("non-genesis block has a parent");
+            x = self.parent_of(x);
+            y = self.parent_of(y);
         }
         x
     }

@@ -24,6 +24,12 @@ pub enum SimError {
     NoHonestMiners,
     /// A run must produce at least one block.
     NoBlocks,
+    /// The block budget exceeds what a block tree can hold (`u32::MAX`
+    /// blocks): such a run would exhaust the tree's id space part-way.
+    TooManyBlocks {
+        /// The rejected budget.
+        blocks: u64,
+    },
     /// [`PoolStrategy::Table`] requires a policy table (and vice versa).
     PolicyMismatch,
     /// A delay-study share vector must be a probability distribution:
@@ -69,6 +75,10 @@ impl fmt::Display for SimError {
             }
             SimError::NoHonestMiners => write!(f, "at least one honest miner is required"),
             SimError::NoBlocks => write!(f, "block budget must be positive"),
+            SimError::TooManyBlocks { blocks } => write!(
+                f,
+                "block budget {blocks} exceeds the block tree's capacity of {MAX_BLOCKS} blocks"
+            ),
             SimError::PolicyMismatch => write!(
                 f,
                 "the Table strategy and a policy table must be set together \
@@ -93,6 +103,20 @@ impl fmt::Display for SimError {
 }
 
 impl Error for SimError {}
+
+/// The largest block budget a run accepts. Every simulated block is one
+/// node of a [`seleth_chain::BlockTree`], whose `u32` ids (genesis is 0)
+/// leave room for `u32::MAX` blocks above genesis.
+pub(crate) const MAX_BLOCKS: u64 = u32::MAX as u64;
+
+/// Check a block budget against `1..=MAX_BLOCKS`.
+pub(crate) fn check_blocks(blocks: u64) -> Result<(), SimError> {
+    match blocks {
+        0 => Err(SimError::NoBlocks),
+        b if b > MAX_BLOCKS => Err(SimError::TooManyBlocks { blocks }),
+        _ => Ok(()),
+    }
+}
 
 /// The strategy run by the pool's hash power.
 ///
@@ -290,7 +314,8 @@ impl SimConfigBuilder {
     /// # Errors
     ///
     /// Returns [`SimError`] if `alpha ∉ [0, 1)`, `gamma ∉ [0, 1]`, there
-    /// are no honest miners, the block budget is zero, or exactly one of
+    /// are no honest miners, the block budget is zero or above `u32::MAX`,
+    /// or exactly one of
     /// [`PoolStrategy::Table`] / a policy table is set.
     pub fn build(&self) -> Result<SimConfig, SimError> {
         if !self.alpha.is_finite() || !(0.0..1.0).contains(&self.alpha) {
@@ -302,9 +327,7 @@ impl SimConfigBuilder {
         if self.n_honest == 0 {
             return Err(SimError::NoHonestMiners);
         }
-        if self.blocks == 0 {
-            return Err(SimError::NoBlocks);
-        }
+        check_blocks(self.blocks)?;
         if (self.strategy == PoolStrategy::Table) != self.policy.is_some() {
             return Err(SimError::PolicyMismatch);
         }
@@ -356,6 +379,22 @@ mod tests {
             SimConfig::builder().blocks(0).build(),
             Err(SimError::NoBlocks)
         ));
+    }
+
+    #[test]
+    fn budgets_beyond_the_tree_id_space_are_rejected() {
+        // A run past u32::MAX blocks used to build fine and then panic
+        // inside the engine when the tree's id space ran out.
+        let too_many = MAX_BLOCKS + 1;
+        let err = SimConfig::builder().blocks(too_many).build().unwrap_err();
+        assert_eq!(err, SimError::TooManyBlocks { blocks: too_many });
+        assert!(err.to_string().contains(&too_many.to_string()));
+        assert!(matches!(
+            SimConfig::builder().blocks(u64::MAX).build(),
+            Err(SimError::TooManyBlocks { .. })
+        ));
+        let at_capacity = SimConfig::builder().blocks(MAX_BLOCKS).build().unwrap();
+        assert_eq!(at_capacity.blocks(), u64::from(u32::MAX));
     }
 
     #[test]

@@ -97,12 +97,12 @@ use serde::{Deserialize, Serialize};
 
 use seleth_chain::accounting::{self, MinerRewards};
 use seleth_chain::forkchoice::{longest_chain, TieBreak};
-use seleth_chain::{BlockId, BlockTree, MinerId, RewardSchedule};
+use seleth_chain::{uncles, BlockId, BlockTree, MinerId, RewardSchedule};
 use seleth_mdp::{Action, Fork, PolicyTable, StateSpace};
 use seleth_net::Topology;
 use seleth_obs::{EventKind, EventLog};
 
-use crate::config::SimError;
+use crate::config::{check_blocks, SimError};
 use crate::engine::record_event;
 use crate::faults::{CrashTimeline, FaultPlan};
 
@@ -286,7 +286,8 @@ impl DelayConfigBuilder {
     ///
     /// [`SimError::NoHonestMiners`] without at least two miners (a solo
     /// network has no propagation), [`SimError::NoBlocks`] for an empty
-    /// budget, [`SimError::InvalidShares`] unless the shares are a
+    /// budget, [`SimError::TooManyBlocks`] for one above `u32::MAX`,
+    /// [`SimError::InvalidShares`] unless the shares are a
     /// probability distribution (finite, non-negative, summing to 1 within
     /// `1e-6`), [`SimError::StrategyCount`] when the strategy vector
     /// disagrees with the number of miners, [`SimError::InvalidGamma`] for
@@ -298,9 +299,7 @@ impl DelayConfigBuilder {
         if self.shares.len() < 2 {
             return Err(SimError::NoHonestMiners);
         }
-        if self.blocks == 0 {
-            return Err(SimError::NoBlocks);
-        }
+        check_blocks(self.blocks)?;
         let total: f64 = self.shares.iter().sum();
         if self.shares.iter().any(|s| !s.is_finite() || *s < 0.0) || (total - 1.0).abs() > 1e-6 {
             return Err(SimError::InvalidShares { total });
@@ -738,6 +737,8 @@ pub struct DelaySimulation {
     /// Graph-propagation state; `None` under the uniform model (every
     /// graph branch is then one predictable-false test).
     graph: Option<GraphNet>,
+    /// Scratch buffer for [`uncles::select_uncles`], reused by every mint.
+    uncle_refs: Vec<BlockId>,
 }
 
 /// Outcome of a delay run.
@@ -824,6 +825,7 @@ impl DelaySimulation {
             partition_open: false,
             events: None,
             graph,
+            uncle_refs: Vec::new(),
         }
     }
 
@@ -1580,19 +1582,7 @@ impl DelaySimulation {
             let s = &self.strategists[i];
             (s.private.last().copied().unwrap_or(s.fork_base), s.miner)
         };
-        let refs = self.collect_refs(parent, miner);
-        let id = self
-            .tree
-            .add_block(parent, miner, &refs)
-            .expect("engine-created ids");
-        record_event(
-            &self.events,
-            EventKind::Mine,
-            miner.0,
-            id.index() as u64,
-            self.tree.height(id),
-        );
-        self.pub_time.push(f64::INFINITY);
+        let id = self.mint(parent, miner);
         let s = &mut self.strategists[i];
         s.private.push(id);
         if s.fork != Fork::Active {
@@ -1650,10 +1640,51 @@ impl DelaySimulation {
             }
         }
 
-        let refs = self.collect_refs(tip, miner);
+        let id = self.mint(tip, miner);
+        self.release(id, self.now, miner);
+    }
+
+    /// Mine a withheld block on `parent`. Its header references uncles
+    /// ([`uncles::select_uncles`]) among the blocks *visible to the
+    /// miner*: released and propagated, or released and self-mined.
+    /// Withheld blocks are invisible to everyone — abandoning a private
+    /// branch leaves plain stales, exactly like the engine.
+    fn mint(&mut self, parent: BlockId, miner: MinerId) -> BlockId {
+        let horizon = self.now - self.config.delay;
+        let visible = |u: BlockId| {
+            let released = self.pub_time[u.index()] < f64::INFINITY;
+            // Graph mode: visibility is per-pair — the block must have
+            // finished its graph path *to this miner* by the horizon. The
+            // uniform expression is untouched (the complete/uniform
+            // surcharge is exactly 0.0, but keeping the original
+            // comparison makes the bit-identity claim local to this line).
+            let heard = match &self.graph {
+                Some(net) => {
+                    self.pub_time[u.index()]
+                        + net.extra(u.index(), self.config.shares.len(), miner.0 as usize)
+                        <= horizon
+                }
+                None => self.pub_time[u.index()] <= horizon,
+            };
+            let propagated = heard
+                && (!self.partition_faults
+                    || !self.config.faults.cross_blocked(
+                        self.tree.block(u).miner().0 as usize,
+                        miner.0 as usize,
+                        self.now,
+                    ));
+            propagated || (released && self.tree.block(u).miner() == miner)
+        };
+        uncles::select_uncles(
+            &self.tree,
+            parent,
+            &self.config.schedule,
+            visible,
+            &mut self.uncle_refs,
+        );
         let id = self
             .tree
-            .add_block(tip, miner, &refs)
+            .add_block(parent, miner, &self.uncle_refs)
             .expect("engine-created ids");
         record_event(
             &self.events,
@@ -1663,80 +1694,7 @@ impl DelaySimulation {
             self.tree.height(id),
         );
         self.pub_time.push(f64::INFINITY);
-        self.release(id, self.now, miner);
-    }
-
-    /// Ethereum uncle referencing against the blocks *visible to the
-    /// miner*: released and propagated, or released and self-mined.
-    /// Withheld blocks are invisible to everyone — abandoning a private
-    /// branch leaves plain stales, exactly like the engine.
-    fn collect_refs(&self, parent: BlockId, miner: MinerId) -> Vec<BlockId> {
-        let schedule = &self.config.schedule;
-        let max_d = schedule.max_uncle_distance();
-        if max_d == 0 {
-            return Vec::new();
-        }
-        let cap = schedule.max_uncles_per_block().unwrap_or(usize::MAX);
-        if cap == 0 {
-            return Vec::new();
-        }
-        let new_height = self.tree.height(parent) + 1;
-        let horizon = self.now - self.config.delay;
-
-        let mut ancestors = Vec::with_capacity(max_d as usize + 1);
-        let mut cur = parent;
-        for _ in 0..=max_d {
-            ancestors.push(cur);
-            match self.tree.block(cur).parent() {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        let on_chain: std::collections::HashSet<BlockId> = ancestors.iter().copied().collect();
-        let referenced: std::collections::HashSet<BlockId> = ancestors
-            .iter()
-            .flat_map(|&a| self.tree.block(a).uncle_refs().iter().copied())
-            .collect();
-
-        let mut refs = Vec::new();
-        'outer: for &a in &ancestors[1..] {
-            if new_height - self.tree.height(a) > max_d + 1 {
-                break;
-            }
-            for &u in self.tree.children(a) {
-                let released = self.pub_time[u.index()] < f64::INFINITY;
-                // Graph mode: visibility is per-pair — the block must
-                // have finished its graph path *to this miner* by the
-                // horizon. The uniform expression is untouched (the
-                // complete/uniform surcharge is exactly 0.0, but keeping
-                // the original comparison makes the bit-identity claim
-                // local to this line).
-                let heard = match &self.graph {
-                    Some(net) => {
-                        self.pub_time[u.index()]
-                            + net.extra(u.index(), self.config.shares.len(), miner.0 as usize)
-                            <= horizon
-                    }
-                    None => self.pub_time[u.index()] <= horizon,
-                };
-                let propagated = heard
-                    && (!self.partition_faults
-                        || !self.config.faults.cross_blocked(
-                            self.tree.block(u).miner().0 as usize,
-                            miner.0 as usize,
-                            self.now,
-                        ));
-                let visible = propagated || (released && self.tree.block(u).miner() == miner);
-                if on_chain.contains(&u) || referenced.contains(&u) || !visible {
-                    continue;
-                }
-                refs.push(u);
-                if refs.len() >= cap {
-                    break 'outer;
-                }
-            }
-        }
-        refs
+        id
     }
 }
 
@@ -1906,6 +1864,17 @@ mod tests {
             .is_ok());
         assert!(DelayConfig::builder().delay(-1.0).build().is_err());
         assert!(DelayConfig::builder().blocks(0).build().is_err());
+        // Budgets past the tree's u32 id space fail at build time, not
+        // with a panic part-way through the run.
+        let too_many = crate::config::MAX_BLOCKS + 1;
+        assert_eq!(
+            DelayConfig::builder().blocks(too_many).build().unwrap_err(),
+            SimError::TooManyBlocks { blocks: too_many }
+        );
+        assert!(DelayConfig::builder()
+            .blocks(crate::config::MAX_BLOCKS)
+            .build()
+            .is_ok());
         assert!(matches!(
             DelayConfig::builder().tie_gamma(1.5).build(),
             Err(SimError::InvalidGamma { .. })

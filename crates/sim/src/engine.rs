@@ -33,14 +33,14 @@
 //! *adopt*. Table lookups are flat-array arithmetic; the playback hot path
 //! allocates nothing beyond what the block tree itself needs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use seleth_chain::{BlockId, BlockTree, MinerId};
+use seleth_chain::{uncles, BlockId, BlockTree, MinerId};
 use seleth_mdp::{Action, Fork, StateSpace};
 use seleth_obs::{EventKind, EventLog};
 
@@ -95,6 +95,8 @@ pub struct Simulation {
     // --- statistics ---
     blocks_mined: u64,
     state_visits: HashMap<(u32, u32), u64>,
+    /// Scratch buffer for [`uncles::select_uncles`], reused by every mint.
+    uncle_refs: Vec<BlockId>,
     /// Optional flight recorder ([`Simulation::attach_events`]); `None`
     /// (the default) keeps every instrumentation site a single branch.
     events: Option<Arc<EventLog>>,
@@ -119,6 +121,7 @@ impl Simulation {
             match_d: 0,
             blocks_mined: 0,
             state_visits: HashMap::new(),
+            uncle_refs: Vec::new(),
             events: None,
         }
     }
@@ -493,11 +496,23 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Create a block on `parent` with protocol-valid uncle references.
+    ///
+    /// Every published block is visible to every miner. Miners never need
+    /// to distinguish pool from honest visibility: unpublished pool blocks
+    /// are always ancestors of the pool's own next block, and ancestors
+    /// are never referenced anyway.
     fn mint(&mut self, parent: BlockId, miner: MinerId) -> BlockId {
-        let refs = self.collect_uncle_refs(parent);
+        let published = &self.published;
+        uncles::select_uncles(
+            &self.tree,
+            parent,
+            self.config.schedule(),
+            |u| published[u.index()],
+            &mut self.uncle_refs,
+        );
         let id = self
             .tree
-            .add_block(parent, miner, &refs)
+            .add_block(parent, miner, &self.uncle_refs)
             .expect("engine only uses ids it created");
         self.published.push(false);
         record_event(
@@ -537,62 +552,6 @@ impl Simulation {
         self.published_count = 0;
         self.honest_branch.clear();
     }
-
-    /// Ethereum's uncle-reference rule, applied at mining time: reference
-    /// every known (published) block `U` such that `U`'s parent is an
-    /// ancestor of the new block within the maximum distance, `U` is not
-    /// itself an ancestor, and no ancestor in the reference window already
-    /// references `U` — up to the schedule's per-block cap.
-    ///
-    /// Miners never need to distinguish pool from honest visibility here:
-    /// unpublished pool blocks are always ancestors of the pool's own next
-    /// block, and ancestors are excluded anyway.
-    fn collect_uncle_refs(&mut self, parent: BlockId) -> Vec<BlockId> {
-        let schedule = self.config.schedule();
-        let max_d = schedule.max_uncle_distance();
-        if max_d == 0 {
-            return Vec::new();
-        }
-        let cap = schedule.max_uncles_per_block().unwrap_or(usize::MAX);
-        if cap == 0 {
-            return Vec::new();
-        }
-        let new_height = self.tree.height(parent) + 1;
-
-        // Ancestors of the new block within the window, newest first.
-        let mut ancestors = Vec::with_capacity(max_d as usize + 1);
-        let mut cur = parent;
-        for _ in 0..=max_d {
-            ancestors.push(cur);
-            match self.tree.block(cur).parent() {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        let on_chain: HashSet<BlockId> = ancestors.iter().copied().collect();
-        let referenced: HashSet<BlockId> = ancestors
-            .iter()
-            .flat_map(|&a| self.tree.block(a).uncle_refs().iter().copied())
-            .collect();
-
-        let mut refs = Vec::new();
-        // Uncle parents sit at heights [new_height − 1 − max_d, new_height − 2].
-        'outer: for &a in &ancestors[1..] {
-            if new_height - self.tree.height(a) > max_d + 1 {
-                break;
-            }
-            for &u in self.tree.children(a) {
-                if on_chain.contains(&u) || referenced.contains(&u) || !self.published[u.index()] {
-                    continue;
-                }
-                refs.push(u);
-                if refs.len() >= cap {
-                    break 'outer;
-                }
-            }
-        }
-        refs
-    }
 }
 
 #[cfg(test)]
@@ -605,7 +564,7 @@ mod tests {
             .alpha(alpha)
             .gamma(gamma)
             .n_honest(99)
-            .blocks(u64::MAX) // stepped manually
+            .blocks(crate::config::MAX_BLOCKS) // stepped manually
             .seed(seed)
             .build()
             .unwrap();
@@ -793,7 +752,7 @@ mod tests {
             .alpha(0.3)
             .gamma(0.5)
             .n_honest(99)
-            .blocks(u64::MAX)
+            .blocks(crate::config::MAX_BLOCKS)
             .strategy(PoolStrategy::LeadStubborn)
             .seed(1)
             .build()
@@ -810,7 +769,7 @@ mod tests {
             .alpha(0.3)
             .gamma(0.5)
             .n_honest(99)
-            .blocks(u64::MAX)
+            .blocks(crate::config::MAX_BLOCKS)
             .strategy(PoolStrategy::LeadStubborn)
             .seed(1)
             .build()
@@ -851,7 +810,7 @@ mod tests {
             .alpha(alpha)
             .gamma(gamma)
             .n_honest(99)
-            .blocks(u64::MAX) // stepped manually
+            .blocks(crate::config::MAX_BLOCKS) // stepped manually
             .seed(seed)
             .policy(table)
             .build()
