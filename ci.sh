@@ -14,6 +14,11 @@ echo "==> cargo test -q (workspace, trace-dump-on-failure armed)"
 # as JSON lines for offline diffing.
 SELETH_TRACE_ON_FAIL="$(mktemp -d)" cargo test --workspace -q
 
+echo "==> MDP solver release-mode gates (ignored in debug runs)"
+# The benchmark's truncation-60 solve must give the same rho* bits,
+# policy and sweep count at 1, 2 and 3 solver threads (~6 s).
+cargo test --release -q -p seleth-mdp -- --ignored
+
 echo "==> perfbench self-test (tiny run of every benchmark workload)"
 # The benchmark is a package of its own, outside the workspace. Its
 # self-test replays longest_chain, uncle_events_with_cap and

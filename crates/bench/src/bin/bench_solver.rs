@@ -16,7 +16,7 @@
 //! - `mdp_expansion_reuse_speedup`: the ratio of the two — the
 //!   acceptance gate for the single-expansion layout is ≥ 2×;
 //! - `mdp_scaling`: cold solve times at truncation 60 / 120 / 200 (one
-//!   repetition each) — the tiled-sweep scaling record behind the
+//!   repetition each) — the parallel-sweep scaling record behind the
 //!   truncation-200 delay-aware artifacts.
 //!
 //! The JSON carries the shared `"host"` fingerprint block (identical to
@@ -156,7 +156,7 @@ fn main() {
         slow.iterations
     );
 
-    // --- MDP truncation scaling: the tiled Bellman layout at 200+ ---
+    // --- MDP truncation scaling: the flat Bellman layout at 200+ ---
     // One cold solve per truncation (single repetition: the large solves
     // dominate the bin's runtime), recording the wall-clock growth of the
     // flat layout up to the delay-study truncation of 200.

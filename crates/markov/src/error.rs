@@ -26,7 +26,9 @@ pub enum SolveError {
     NotConverged {
         /// Iterations performed before giving up.
         iterations: usize,
-        /// L1 residual at the final iteration.
+        /// Change made by the final iteration: the L1 norm for the
+        /// stationary solvers, the max-norm for the first-passage sweeps
+        /// (infinite when the budget allowed no iteration).
         residual: f64,
     },
     /// A transition was registered with a non-finite or negative rate.

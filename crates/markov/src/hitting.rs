@@ -80,8 +80,10 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
         let reach = self.can_reach(&is_target);
 
         let mut h = vec![0.0f64; n];
-        for it in 0..opts.max_iterations {
-            let mut delta = 0.0f64;
+        // The last sweep's max-norm change; infinite until a sweep has run.
+        let mut delta = f64::INFINITY;
+        for _ in 0..opts.max_iterations {
+            delta = 0.0;
             for i in 0..n {
                 if is_target[i] || !reach[i] {
                     continue;
@@ -126,13 +128,10 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
                     })
                     .collect());
             }
-            if it == opts.max_iterations - 1 {
-                break;
-            }
         }
         Err(SolveError::NotConverged {
             iterations: opts.max_iterations,
-            residual: f64::NAN,
+            residual: delta,
         })
     }
 
@@ -167,8 +166,10 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
         let n = self.len();
         let mut p = vec![0.0f64; n];
         p[ia] = 1.0;
+        // The last sweep's max-norm change; infinite until a sweep has run.
+        let mut delta = f64::INFINITY;
         for _ in 0..opts.max_iterations {
-            let mut delta = 0.0f64;
+            delta = 0.0;
             for i in 0..n {
                 if i == ia || i == ib {
                     continue;
@@ -196,7 +197,7 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
         }
         Err(SolveError::NotConverged {
             iterations: opts.max_iterations,
-            residual: f64::NAN,
+            residual: delta,
         })
     }
 
@@ -270,6 +271,33 @@ mod tests {
             let want = (1.0 - r.powi(i as i32)) / (1.0 - r.powi(n as i32));
             let got = probs[q.index_of(&i).unwrap()];
             assert!((got - want).abs() < 1e-9, "i={i}: got {got}, want {want}");
+        }
+    }
+
+    #[test]
+    fn exhausted_budgets_report_the_last_residual() {
+        // One sweep from the zero start cannot converge; both first-passage
+        // solvers must report that sweep's finite, positive max-norm change.
+        let opts = HittingOptions {
+            max_iterations: 1,
+            ..HittingOptions::default()
+        };
+        let q = classic::mm1k(2.0, 3.0, 8);
+        let results = [
+            q.expected_hitting_times(&[0], opts).map(drop),
+            q.probability_hits_before(&8, &0, opts).map(drop),
+        ];
+        for result in results {
+            match result {
+                Err(SolveError::NotConverged {
+                    iterations: 1,
+                    residual,
+                }) => assert!(
+                    residual.is_finite() && residual > 0.0,
+                    "residual {residual}"
+                ),
+                other => panic!("expected NotConverged, got {other:?}"),
+            }
         }
     }
 

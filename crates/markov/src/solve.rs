@@ -150,8 +150,10 @@ pub(crate) fn gauss_seidel(
     // entry is skipped during accumulation and solved for explicitly.
     let transpose = matrix.transpose();
     let mut pi = vec![1.0 / n as f64; n];
+    // The last sweep's L1 change; infinite until a sweep has run.
+    let mut residual = f64::INFINITY;
     for _ in 0..opts.max_iterations {
-        let mut residual = 0.0;
+        residual = 0.0;
         for j in 0..n {
             let mut incoming = 0.0;
             let mut diag = 0.0;
@@ -180,7 +182,7 @@ pub(crate) fn gauss_seidel(
     }
     Err(SolveError::NotConverged {
         iterations: opts.max_iterations,
-        residual: f64::NAN,
+        residual,
     })
 }
 
@@ -326,6 +328,28 @@ mod tests {
         let matrix = CsrMatrix::from_rows(&[vec![(1, 1.0)], vec![(0, 1.0)]]);
         let pi = solve(&matrix, &SolveOptions::default()).unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn exhausted_budgets_report_the_last_residual() {
+        // One sweep cannot converge from the uniform start; both iterative
+        // methods must report that sweep's finite, positive L1 change.
+        for method in [SolveMethod::PowerIteration, SolveMethod::GaussSeidel] {
+            let opts = SolveOptions {
+                max_iterations: 1,
+                ..SolveOptions::with_method(method)
+            };
+            match solve(&two_state(), &opts) {
+                Err(SolveError::NotConverged {
+                    iterations: 1,
+                    residual,
+                }) => assert!(
+                    residual.is_finite() && residual > 0.0,
+                    "{method:?}: residual {residual}"
+                ),
+                other => panic!("{method:?}: expected NotConverged, got {other:?}"),
+            }
+        }
     }
 
     #[test]
