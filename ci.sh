@@ -26,6 +26,11 @@ echo "==> perfbench self-test (tiny run of every benchmark workload)"
 # Simulation::finalize, so settlement changes are gated here too.
 (cd perfbench && cargo test --release --offline)
 
+echo "==> benchmark files untouched (perfbench lock file included)"
+# perfbench builds the library crates from source; a dependency change in
+# any of them rewrites perfbench/Cargo.lock, which is a benchmark change.
+git diff --exit-code -- perfbench BENCHMARK.json
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -8,6 +8,10 @@
 //! - `single_run_blocks_per_sec`: one selfish-mining run of
 //!   `SELETH_BENCH_BLOCKS` blocks (default 200 000) on one engine —
 //!   the per-worker hot-path rate;
+//! - `capped_run_blocks_per_sec` / `bitcoin_run_blocks_per_sec`: the same
+//!   run under the real protocol's two-uncle cap
+//!   (`RewardSchedule::ethereum_capped`) and under the Bitcoin schedule
+//!   (no uncle referencing at all);
 //! - `policy_run_blocks_per_sec`: the same budget replaying an exported
 //!   optimal-policy table, pricing the playback executor against the
 //!   hand-coded strategy;
@@ -47,6 +51,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use seleth_bench::report::{trace_arg, write_trace};
+use seleth_chain::RewardSchedule;
 use seleth_mdp::{Fork, MdpConfig, PolicyTable, RewardModel, StateSpace};
 use seleth_obs::{
     EventLog, NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog,
@@ -129,6 +134,33 @@ fn main() {
         "single_run          {blocks} blocks: {:.1} ms ({:.2} Mblocks/s)",
         single_s * 1e3,
         single_rate / 1e6
+    );
+
+    // --- The same run under the capped and Bitcoin reward schedules ---
+    let schedule_rate = |schedule: RewardSchedule| {
+        let config = SimConfig::builder()
+            .alpha(0.35)
+            .gamma(0.5)
+            .n_honest(999)
+            .blocks(blocks)
+            .seed(4242)
+            .schedule(schedule)
+            .build()
+            .expect("valid config");
+        let mut engine = Simulation::new(config.clone());
+        let (s, _) = best_of(reps, || {
+            engine.reset(config.clone());
+            engine.run_in_place().pool.total()
+        });
+        blocks as f64 / s
+    };
+    let capped_rate = schedule_rate(RewardSchedule::ethereum_capped());
+    let bitcoin_rate = schedule_rate(RewardSchedule::bitcoin());
+    println!(
+        "schedule_runs       {blocks} blocks: ethereum_capped {:.2} Mblocks/s, \
+         bitcoin {:.2} Mblocks/s",
+        capped_rate / 1e6,
+        bitcoin_rate / 1e6
     );
 
     // --- Overhead ratios on the same budget ---
@@ -317,6 +349,8 @@ fn main() {
     field("blocks", blocks.to_string());
     field("single_run_ms", format!("{:.3}", single_s * 1e3));
     field("single_run_blocks_per_sec", format!("{single_rate:.0}"));
+    field("capped_run_blocks_per_sec", format!("{capped_rate:.0}"));
+    field("bitcoin_run_blocks_per_sec", format!("{bitcoin_rate:.0}"));
     field("policy_run_ms", format!("{:.3}", policy_s * 1e3));
     field("policy_run_blocks_per_sec", format!("{policy_rate:.0}"));
     field("policy4_run_ms", format!("{:.3}", policy4_s * 1e3));
@@ -358,6 +392,8 @@ fn main() {
         "bench_sim",
         &[
             ("single_run_blocks_per_sec", single_rate),
+            ("capped_run_blocks_per_sec", capped_rate),
+            ("bitcoin_run_blocks_per_sec", bitcoin_rate),
             ("policy_run_blocks_per_sec", policy_rate),
             ("policy4_run_blocks_per_sec", policy4_rate),
             ("noop_overhead_ratio", noop_ratio),

@@ -9,6 +9,13 @@
 //!   truncation 200 (the stationary solvers' inner loop);
 //! - `stationary_solve_ms`: a full Gauss–Seidel stationary solve at
 //!   truncation 200;
+//! - `stationary_gauss_seidel_t80_ms` / `stationary_power_t80_ms`: the
+//!   two stationary methods head to head at truncation 80, tolerance
+//!   1e-12;
+//! - `pi_closed_form_grid_ns`: Eq. (2)'s closed-form π over the grid
+//!   `2 ≤ i ≤ 15, j ≤ i − 2`;
+//! - `table2_distance_ns`: the Table II expected honest uncle distance
+//!   from a solved truncation-150 chain at α = 0.45;
 //! - `mdp_solve_ms`: the single-expansion, warm-started Dinkelbach solve
 //!   at the default truncation of [`MdpConfig::new`];
 //! - `mdp_solve_reexpand_ms`: the legacy behaviour (re-expansion and a
@@ -33,11 +40,13 @@
 //! takes a few minutes of total runtime; CI smoke runs use e.g. 16).
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 use seleth_bench::report::{trace_arg, write_trace};
 use seleth_chain::RewardSchedule;
-use seleth_core::{stationary, ModelParams};
+use seleth_core::{stationary, Analysis, ModelParams, State};
+use seleth_markov::{SolveMethod, SolveOptions};
 use seleth_mdp::{MdpConfig, RewardModel};
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TraceLog};
 
@@ -110,6 +119,78 @@ fn main() {
         "stationary_solve    truncation 200: {:.2} ms",
         stationary_s * 1e3
     );
+
+    // --- Gauss–Seidel vs power iteration on the same chain ---
+    let method_params = ModelParams::with_truncation(0.4, 0.5, RewardSchedule::ethereum(), 80)
+        .expect("valid params");
+    let method_s = |method| {
+        let opts = SolveOptions {
+            method,
+            tolerance: 1e-12,
+            max_iterations: 5_000_000,
+            check_irreducible: false,
+        };
+        best_of(reps, || {
+            stationary::solve_with(&method_params, opts).expect("solve")
+        })
+        .0
+    };
+    let span_start = recorder.now_ns();
+    let gauss_seidel_s = method_s(SolveMethod::GaussSeidel);
+    let power_s = method_s(SolveMethod::PowerIteration);
+    if recorder.enabled() {
+        recorder.span("stationary_method", 0, span_start, recorder.now_ns());
+    }
+    telemetry.add_phase(
+        "stationary_method",
+        ((gauss_seidel_s + power_s) * 1e9) as u64,
+    );
+    println!(
+        "stationary_method   truncation 80, tol 1e-12: Gauss–Seidel {:.2} ms vs power {:.2} ms",
+        gauss_seidel_s * 1e3,
+        power_s * 1e3
+    );
+
+    // --- Closed-form π over the Eq. (2) grid i ≤ 15 ---
+    let grid_batch = 1_000;
+    let span_start = recorder.now_ns();
+    let (grid_batch_s, _) = best_of(reps, || {
+        let mut acc = 0.0;
+        for _ in 0..grid_batch {
+            for i in 2..=15u32 {
+                for j in 0..=(i - 2) {
+                    acc += stationary::pi_closed_form(black_box(0.4), 0.5, State::new(i, j));
+                }
+            }
+        }
+        acc
+    });
+    if recorder.enabled() {
+        recorder.span("pi_closed_form_grid", 0, span_start, recorder.now_ns());
+    }
+    let pi_grid_ns = grid_batch_s / f64::from(grid_batch) * 1e9;
+    telemetry.add_phase("pi_closed_form_grid", (grid_batch_s * 1e9) as u64);
+    println!("pi_closed_form_grid i <= 15: {pi_grid_ns:.0} ns/grid");
+
+    // --- Table II: expected honest uncle distance from a solved chain ---
+    let table2_params = ModelParams::with_truncation(0.45, 0.5, RewardSchedule::ethereum(), 150)
+        .expect("valid params");
+    let analysis = Analysis::new(&table2_params).expect("solve");
+    let distance_batch = 100;
+    let span_start = recorder.now_ns();
+    let (distance_batch_s, _) = best_of(reps, || {
+        let mut acc = 0.0;
+        for _ in 0..distance_batch {
+            acc += black_box(&analysis).honest_uncle_distances().expectation();
+        }
+        acc
+    });
+    if recorder.enabled() {
+        recorder.span("table2_distance", 0, span_start, recorder.now_ns());
+    }
+    let distance_ns = distance_batch_s / f64::from(distance_batch) * 1e9;
+    telemetry.add_phase("table2_distance", (distance_batch_s * 1e9) as u64);
+    println!("table2_distance     truncation 150: {distance_ns:.0} ns/expectation");
 
     // --- MDP: single expansion + warm start vs legacy re-expansion ---
     let config = MdpConfig::new(0.35, 0.5, RewardModel::Bitcoin).with_max_len(mdp_len);
@@ -194,6 +275,13 @@ fn main() {
     field("csr_nnz", matrix.nnz().to_string());
     field("csr_spmv_ns", format!("{csr_spmv_ns:.1}"));
     field("stationary_solve_ms", format!("{:.3}", stationary_s * 1e3));
+    field(
+        "stationary_gauss_seidel_t80_ms",
+        format!("{:.3}", gauss_seidel_s * 1e3),
+    );
+    field("stationary_power_t80_ms", format!("{:.3}", power_s * 1e3));
+    field("pi_closed_form_grid_ns", format!("{pi_grid_ns:.1}"));
+    field("table2_distance_ns", format!("{distance_ns:.1}"));
     field("mdp_max_len", mdp_len.to_string());
     field("mdp_solve_ms", format!("{:.3}", fast_s * 1e3));
     field("mdp_solve_sweeps", fast.iterations.to_string());
@@ -223,6 +311,10 @@ fn main() {
         &[
             ("csr_spmv_ns", csr_spmv_ns),
             ("stationary_solve_ms", stationary_s * 1e3),
+            ("stationary_gauss_seidel_t80_ms", gauss_seidel_s * 1e3),
+            ("stationary_power_t80_ms", power_s * 1e3),
+            ("pi_closed_form_grid_ns", pi_grid_ns),
+            ("table2_distance_ns", distance_ns),
             ("mdp_solve_ms", fast_s * 1e3),
             ("mdp_expansion_reuse_speedup", speedup),
         ],

@@ -42,6 +42,7 @@ use seleth_chain::RewardSchedule;
 use seleth_mdp::{PolicyTable, RewardModel};
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog};
 use seleth_sim::delay::DelayConfig;
+use seleth_sim::multi;
 
 /// Mean block interval for every run (Ethereum-like, seconds).
 const INTERVAL: f64 = 13.0;
@@ -121,7 +122,7 @@ fn sweep_table(
     blocks: u64,
     recorder: &dyn Recorder,
 ) -> (Vec<Point>, Vec<TelemetryShard>) {
-    seleth_bench::par_map_traced(delays, 0, recorder, |&delay, shard| {
+    multi::par_map_traced(delays, 0, recorder, |&delay, shard| {
         eval_point(table, delay, runs, blocks, shard)
     })
 }

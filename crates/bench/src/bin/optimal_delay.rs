@@ -42,7 +42,7 @@ use seleth_chain::RewardSchedule;
 use seleth_mdp::{PolicyTable, RewardModel};
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog};
 use seleth_sim::delay::DelayConfig;
-use seleth_sim::pools;
+use seleth_sim::{multi, pools};
 
 /// Mean block interval for every run (Ethereum-like, seconds).
 const INTERVAL: f64 = 13.0;
@@ -156,7 +156,7 @@ fn sweep_series(
     blocks: u64,
     recorder: &dyn Recorder,
 ) -> (Vec<Point>, Vec<TelemetryShard>) {
-    seleth_bench::par_map_traced(delays, 0, recorder, |&delay, shard| {
+    multi::par_map_traced(delays, 0, recorder, |&delay, shard| {
         eval_point(table, spec, shares, delay, runs, blocks, shard)
     })
 }

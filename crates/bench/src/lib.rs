@@ -44,8 +44,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use seleth_obs::{Recorder, Stopwatch, TelemetryShard};
-
 pub mod report;
 
 /// Directory where experiment CSVs are written: `$SELETH_RESULTS` if set,
@@ -251,177 +249,6 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
     path
 }
 
-/// Evaluate `f` over `items` in parallel with a shared work queue,
-/// returning results in input order.
-///
-/// This is the sweep-point analogue of `seleth_sim::multi::run_many`'s
-/// scheduler: workers pull item indices from an atomic counter (no
-/// up-front chunking, so heterogeneous cell costs stay load-balanced) and
-/// the output is collected by index. As long as `f` is a pure function of
-/// its item, the result is bit-identical for every thread count —
-/// experiment sweeps parallelized through this helper cannot drift when
-/// the host's core count changes. `threads = 0` uses
-/// `available_parallelism`.
-///
-/// # Panics
-///
-/// Panics if a worker panics (i.e. `f` itself panicked).
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    }
-    .min(items.len())
-    .max(1);
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= items.len() {
-                            break;
-                        }
-                        produced.push((k, f(&items[k])));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (k, r) in handle.join().expect("par_map worker panicked") {
-                results[k] = Some(r);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
-}
-
-/// [`par_map`] with per-worker telemetry: each worker carries a
-/// [`TelemetryShard`] that `f` can fold domain counters into, and the
-/// scheduler itself records tasks claimed, busy time and queue-wait time
-/// per worker. Results are bit-identical to [`par_map`] at any thread
-/// count; shard *counter totals* merge to the same values in any worker
-/// grouping (wall-clock fields are measurements, not deterministic).
-///
-/// When `recorder.enabled()`, one `"task"` span per item is emitted so a
-/// `--trace` run can reconstruct the schedule.
-///
-/// # Panics
-///
-/// Panics if a worker panics (i.e. `f` itself panicked).
-pub fn par_map_traced<T, R, F>(
-    items: &[T],
-    threads: usize,
-    recorder: &dyn Recorder,
-    f: F,
-) -> (Vec<R>, Vec<TelemetryShard>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut TelemetryShard) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    if items.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    }
-    .min(items.len())
-    .max(1);
-
-    let next = AtomicUsize::new(0);
-    let work = |worker: usize, next: &AtomicUsize| {
-        let mut shard = TelemetryShard::new(worker);
-        let mut produced: Vec<(usize, R)> = Vec::new();
-        loop {
-            let idle = Stopwatch::start();
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            shard.queue_wait_ns += idle.elapsed_ns();
-            if k >= items.len() {
-                break;
-            }
-            let busy = Stopwatch::start();
-            let started = recorder.now_ns();
-            produced.push((k, f(&items[k], &mut shard)));
-            shard.busy_ns += busy.elapsed_ns();
-            shard.tasks += 1;
-            if recorder.enabled() {
-                recorder.span("task", worker, started, recorder.now_ns());
-            }
-        }
-        (produced, shard)
-    };
-
-    if threads == 1 {
-        let (produced, shard) = work(0, &next);
-        let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (k, r) in produced {
-            results[k] = Some(r);
-        }
-        return (
-            results
-                .into_iter()
-                .map(|r| r.expect("all slots filled"))
-                .collect(),
-            vec![shard],
-        );
-    }
-
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let mut shards = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let next = &next;
-                let work = &work;
-                scope.spawn(move || work(worker, next))
-            })
-            .collect();
-        for handle in handles {
-            let (produced, shard) = handle.join().expect("par_map worker panicked");
-            for (k, r) in produced {
-                results[k] = Some(r);
-            }
-            shards.push(shard);
-        }
-    });
-    (
-        results
-            .into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect(),
-        shards,
-    )
-}
-
 /// Read an integer experiment knob from the environment, falling back to
 /// `default` when unset or unparsable.
 pub fn env_u64(key: &str, default: u64) -> u64 {
@@ -486,42 +313,6 @@ mod tests {
         assert!((mean - 2.5).abs() < 1e-12);
         // Sample variance 5/3; standard error sqrt(5/12).
         assert!((se - (5.0f64 / 12.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_map_preserves_order_and_thread_invariance() {
-        let items: Vec<u64> = (0..23).collect();
-        let reference: Vec<u64> = items.iter().map(|v| v * v).collect();
-        for threads in [0, 1, 2, 7, 64] {
-            let out = par_map(&items, threads, |v| v * v);
-            assert_eq!(out, reference, "threads={threads}");
-        }
-        assert_eq!(par_map::<u64, u64, _>(&[], 4, |v| *v), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn par_map_traced_is_thread_invariant_and_counts_work() {
-        let items: Vec<u64> = (0..17).collect();
-        let reference: Vec<u64> = items.iter().map(|v| v * 3).collect();
-        for threads in [1, 2, 8] {
-            let (out, shards) =
-                par_map_traced(&items, threads, &seleth_obs::NoopRecorder, |v, shard| {
-                    shard.add("item.sum", *v);
-                    v * 3
-                });
-            assert_eq!(out, reference, "threads={threads}");
-            assert_eq!(shards.iter().map(|s| s.tasks).sum::<u64>(), 17);
-            // Counter totals are bit-identical in any worker grouping.
-            assert_eq!(
-                shards.iter().map(|s| s.counter("item.sum")).sum::<u64>(),
-                items.iter().sum::<u64>(),
-                "threads={threads}"
-            );
-        }
-        let trace = seleth_obs::TraceLog::new();
-        let (_, shards) = par_map_traced(&items, 2, &trace, |v, _| *v);
-        assert_eq!(trace.len(), items.len(), "one span per task");
-        assert!(shards.iter().all(|s| s.tasks == 0 || s.busy_ns > 0));
     }
 
     /// Serializes the tests that mutate `SELETH_*` environment variables.

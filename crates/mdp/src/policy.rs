@@ -40,12 +40,14 @@
 //! `∏ dims` codes in storage order. Hand-written tables may additionally
 //! carry a strategy-family name ([`PolicyTable::with_family`]), written
 //! as an optional `family` field; delay-aware tables record their delay
-//! ratio in an optional `delay` field. Floats are written with Rust's shortest round-trip formatting,
-//! so save → load is bit-identical. The reader is a small hand-rolled
-//! parser (the vendored `serde` is marker-only; see `vendor/README.md`)
-//! that accepts any field order and ignores unknown string, string-array
-//! and number fields (other JSON value kinds are outside the artifact
-//! grammar and rejected).
+//! ratio in an optional `delay` field. Floats are written with Rust's
+//! shortest round-trip formatting, so save → load is bit-identical. The
+//! reader is the workspace's strict JSON parser, [`seleth_obs::parse_json`]
+//! (the vendored `serde` is marker-only; see `vendor/README.md`), plus
+//! typed field checks: it accepts any field order and ignores unknown
+//! string, string-array and number fields; other JSON value kinds,
+//! escape sequences and bytes after the closing `}` are outside the
+//! artifact grammar and rejected.
 //!
 //! # Lowering
 //!
@@ -69,6 +71,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use seleth_chain::Scenario;
+use seleth_obs::{parse_json, JsonValue};
 
 use crate::model::{Action, Fork, MdpConfig, MdpState, RewardModel, MATCH_D_CAP};
 use crate::solver::Solution;
@@ -411,9 +414,7 @@ impl PolicyTable {
     pub fn with_family(mut self, family: impl Into<String>) -> Self {
         let family = family.into();
         assert!(
-            !family
-                .chars()
-                .any(|c| c == '"' || c == '\\' || c.is_control()),
+            !needs_escaping(&family),
             "family name {family:?} needs escaping, which the artifact format forbids"
         );
         self.family = family;
@@ -680,95 +681,74 @@ impl PolicyTable {
     ///
     /// # Errors
     ///
-    /// [`PolicyError::Parse`] on malformed JSON, a wrong `kind`/`format`
-    /// tag, missing fields, a `dims` descriptor the indexer cannot
-    /// honour, or action strings whose length disagrees with the
+    /// [`PolicyError::Parse`] on malformed JSON (escape sequences and
+    /// bytes after the closing `}` included), a wrong `kind`/`format`
+    /// tag, missing or mistyped fields, a `dims` descriptor the indexer
+    /// cannot honour, or action strings whose length disagrees with the
     /// declared state space.
     pub fn from_json(text: &str) -> Result<Self, PolicyError> {
-        let mut cur = Cursor::new(text);
-        cur.skip_ws();
-        cur.expect(b'{')?;
-
-        let mut kind: Option<String> = None;
-        let mut format: Option<f64> = None;
-        let mut alpha: Option<f64> = None;
-        let mut gamma: Option<f64> = None;
-        let mut rewards: Option<String> = None;
-        let mut scenario: Option<String> = None;
-        let mut max_len: Option<f64> = None;
-        let mut revenue: Option<f64> = None;
-        let mut delay: Option<f64> = None;
-        let mut family: Option<String> = None;
-        let mut dims: Option<Vec<String>> = None;
-        let mut flat_actions: Option<String> = None;
-        let mut irrelevant: Option<String> = None;
-        let mut relevant: Option<String> = None;
-        let mut active: Option<String> = None;
-
-        loop {
-            cur.skip_ws();
-            if cur.eat(b'}') {
-                break;
-            }
-            let key = cur.parse_string()?;
-            cur.skip_ws();
-            cur.expect(b':')?;
-            cur.skip_ws();
-            match key.as_str() {
-                "kind" => kind = Some(cur.parse_string()?),
-                "family" => family = Some(cur.parse_string()?),
-                "rewards" => rewards = Some(cur.parse_string()?),
-                "scenario" => scenario = Some(cur.parse_string()?),
-                "irrelevant" => irrelevant = Some(cur.parse_string()?),
-                "relevant" => relevant = Some(cur.parse_string()?),
-                "active" => active = Some(cur.parse_string()?),
-                "actions" => flat_actions = Some(cur.parse_string()?),
-                "dims" => dims = Some(cur.parse_string_array()?),
-                "format" => format = Some(cur.parse_number()?),
-                "alpha" => alpha = Some(cur.parse_number()?),
-                "gamma" => gamma = Some(cur.parse_number()?),
-                "max_len" => max_len = Some(cur.parse_number()?),
-                "revenue" => revenue = Some(cur.parse_number()?),
-                "delay" => delay = Some(cur.parse_number()?),
-                // Unknown fields are skipped for forward compatibility.
-                _ => match cur.peek() {
-                    Some(b'"') => {
-                        cur.parse_string()?;
-                    }
-                    Some(b'[') => {
-                        cur.parse_string_array()?;
-                    }
-                    _ => {
-                        cur.parse_number()?;
-                    }
-                },
-            }
-            cur.skip_ws();
-            if cur.eat(b',') {
-                continue;
-            }
-            cur.expect(b'}')?;
-            break;
+        // JSON only allows a backslash inside a string, as an escape, so
+        // this one check keeps every artifact string escape-free.
+        if text.contains('\\') {
+            return Err(PolicyError::Parse(
+                "escape sequences are not part of the artifact format".into(),
+            ));
         }
-
+        let doc = parse_json(text).map_err(|e| PolicyError::Parse(e.to_string()))?;
+        let fields = doc
+            .as_object()
+            .ok_or_else(|| PolicyError::Parse("the artifact is not a JSON object".into()))?;
+        // Unknown fields are skipped for forward compatibility, but every
+        // value must stay inside the artifact grammar.
+        for (key, value) in fields {
+            let in_grammar = match value {
+                JsonValue::Number(_) | JsonValue::String(_) => true,
+                JsonValue::Array(items) => items.iter().all(|v| v.as_str().is_some()),
+                _ => false,
+            };
+            if !in_grammar {
+                return Err(PolicyError::Parse(format!(
+                    "field `{key}` is not a number, string or string array"
+                )));
+            }
+        }
         let missing = |field: &str| PolicyError::Parse(format!("missing field `{field}`"));
-        let kind = kind.ok_or_else(|| missing("kind"))?;
+        let string = |key: &str| match fields.get(key) {
+            None => Ok(None),
+            Some(value) => value
+                .as_str()
+                .map(Some)
+                .ok_or_else(|| PolicyError::Parse(format!("field `{key}` must be a string"))),
+        };
+        let number = |key: &str| match fields.get(key) {
+            None => Err(missing(key)),
+            Some(value) => value
+                .as_f64()
+                .ok_or_else(|| PolicyError::Parse(format!("field `{key}` must be a number"))),
+        };
+        let kind = string("kind")?.ok_or_else(|| missing("kind"))?;
         if kind != KIND {
             return Err(PolicyError::Parse(format!("kind `{kind}` is not `{KIND}`")));
         }
-        let format = format.ok_or_else(|| missing("format"))?;
+        let family = string("family")?.unwrap_or_default();
+        if needs_escaping(family) {
+            return Err(PolicyError::Parse(format!(
+                "family name {family:?} needs escaping, which the artifact format forbids"
+            )));
+        }
+        let format = number("format")?;
         if format != f64::from(FORMAT_V1) && format != f64::from(FORMAT_VERSION) {
             return Err(PolicyError::Parse(format!(
                 "unsupported format version {format} (expected {FORMAT_V1} or {FORMAT_VERSION})"
             )));
         }
-        let max_len_f = max_len.ok_or_else(|| missing("max_len"))?;
+        let max_len_f = number("max_len")?;
         if !(0.0..=f64::from(MAX_LEN_LIMIT)).contains(&max_len_f) || max_len_f.fract() != 0.0 {
             return Err(PolicyError::Parse(format!("bad max_len {max_len_f}")));
         }
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let max_len = max_len_f as u32;
-        let rewards = match rewards.ok_or_else(|| missing("rewards"))?.as_str() {
+        let rewards = match string("rewards")?.ok_or_else(|| missing("rewards"))? {
             "bitcoin" => RewardModel::Bitcoin,
             "ethereum_approx" => RewardModel::EthereumApprox,
             other => {
@@ -777,7 +757,7 @@ impl PolicyTable {
                 )));
             }
         };
-        let scenario = match scenario.ok_or_else(|| missing("scenario"))?.as_str() {
+        let scenario = match string("scenario")?.ok_or_else(|| missing("scenario"))? {
             "regular_rate" => Scenario::RegularRate,
             "regular_plus_uncle_rate" => Scenario::RegularPlusUncleRate,
             other => {
@@ -785,7 +765,11 @@ impl PolicyTable {
             }
         };
 
-        let delay = delay.unwrap_or(0.0);
+        let delay = if fields.contains_key("delay") {
+            number("delay")?
+        } else {
+            0.0
+        };
         if !delay.is_finite() || delay < 0.0 {
             return Err(PolicyError::Parse(format!("bad delay ratio {delay}")));
         }
@@ -795,19 +779,14 @@ impl PolicyTable {
             ));
         }
 
-        let (space, actions) = if format == f64::from(FORMAT_V1) {
+        // Every declared length is validated before anything is sized by
+        // the artifact's own claims.
+        let (space, texts) = if format == f64::from(FORMAT_V1) {
             let space = StateSpace::classic(max_len);
             let slice = space.side() * space.side();
-            // Validate every declared length before allocating anything
-            // sized by the artifact's own claims.
-            let tables = [
-                ("irrelevant", irrelevant),
-                ("relevant", relevant),
-                ("active", active),
-            ];
-            let mut texts = Vec::with_capacity(tables.len());
-            for (name, text) in tables {
-                let text = text.ok_or_else(|| missing(name))?;
+            let mut texts = Vec::with_capacity(3);
+            for name in ["irrelevant", "relevant", "active"] {
+                let text = string(name)?.ok_or_else(|| missing(name))?;
                 if text.len() != slice {
                     return Err(PolicyError::Parse(format!(
                         "table `{name}` has {} slots, expected {slice}",
@@ -816,17 +795,19 @@ impl PolicyTable {
                 }
                 texts.push(text);
             }
-            let mut actions = Vec::with_capacity(space.len());
-            for text in &texts {
-                for byte in text.bytes() {
-                    actions.push(decode_action(byte)?);
-                }
-            }
-            (space, actions)
+            (space, texts)
         } else {
-            let dims = dims.ok_or_else(|| missing("dims"))?;
+            // The grammar check above admits only arrays of strings.
+            let dims: Vec<&str> = fields
+                .get("dims")
+                .ok_or_else(|| missing("dims"))?
+                .as_array()
+                .ok_or_else(|| PolicyError::Parse("field `dims` must be an array".into()))?
+                .iter()
+                .filter_map(JsonValue::as_str)
+                .collect();
             let space = parse_dims(&dims, max_len)?;
-            let text = flat_actions.ok_or_else(|| missing("actions"))?;
+            let text = string("actions")?.ok_or_else(|| missing("actions"))?;
             if text.len() != space.len() {
                 return Err(PolicyError::Parse(format!(
                     "actions has {} slots, dims declare {}",
@@ -834,22 +815,27 @@ impl PolicyTable {
                     space.len()
                 )));
             }
-            let actions = text
-                .bytes()
-                .map(decode_action)
-                .collect::<Result<Vec<Action>, PolicyError>>()?;
-            (space, actions)
+            (space, vec![text])
         };
+        let mut actions = Vec::with_capacity(space.len());
+        for text in texts {
+            for byte in text.bytes() {
+                let action = decode_action(byte).ok_or_else(|| {
+                    PolicyError::Parse(format!("unknown action code `{}`", char::from(byte)))
+                })?;
+                actions.push(action);
+            }
+        }
 
         Ok(PolicyTable {
-            alpha: alpha.ok_or_else(|| missing("alpha"))?,
-            gamma: gamma.ok_or_else(|| missing("gamma"))?,
+            alpha: number("alpha")?,
+            gamma: number("gamma")?,
             rewards,
             scenario,
             space,
-            revenue: revenue.ok_or_else(|| missing("revenue"))?,
+            revenue: number("revenue")?,
             delay,
-            family: family.unwrap_or_default(),
+            family: family.to_string(),
             actions,
         })
     }
@@ -889,7 +875,7 @@ impl PolicyTable {
 
 /// Reconstruct a [`StateSpace`] from a format-2 `dims` descriptor,
 /// cross-checking it against the artifact's `max_len`.
-fn parse_dims(dims: &[String], max_len: u32) -> Result<StateSpace, PolicyError> {
+fn parse_dims(dims: &[&str], max_len: u32) -> Result<StateSpace, PolicyError> {
     let mut parsed = Vec::with_capacity(dims.len());
     for entry in dims {
         let (name, size) = entry
@@ -933,6 +919,12 @@ fn parse_dims(dims: &[String], max_len: u32) -> Result<StateSpace, PolicyError> 
     }
 }
 
+/// Whether `s` holds a character the escape-free artifact string format
+/// cannot carry: `"`, `\\` or a control character.
+fn needs_escaping(s: &str) -> bool {
+    s.chars().any(|c| c == '"' || c == '\\' || c.is_control())
+}
+
 fn encode_action(action: Action) -> char {
     match action {
         Action::Adopt => 'a',
@@ -942,120 +934,13 @@ fn encode_action(action: Action) -> char {
     }
 }
 
-fn decode_action(byte: u8) -> Result<Action, PolicyError> {
+fn decode_action(byte: u8) -> Option<Action> {
     match byte {
-        b'a' => Ok(Action::Adopt),
-        b'o' => Ok(Action::Override),
-        b'm' => Ok(Action::Match),
-        b'w' => Ok(Action::Wait),
-        other => Err(PolicyError::Parse(format!(
-            "unknown action code `{}`",
-            char::from(other)
-        ))),
-    }
-}
-
-/// Minimal scanner over the artifact's flat-JSON subset: one object whose
-/// values are numbers, escape-free strings, or arrays of such strings.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), PolicyError> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(PolicyError::Parse(format!(
-                "expected `{}` at byte {} of the artifact",
-                char::from(byte),
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, PolicyError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    return Err(PolicyError::Parse(
-                        "escape sequences are not part of the artifact format".into(),
-                    ));
-                }
-                Some(_) => self.pos += 1,
-                None => {
-                    return Err(PolicyError::Parse("unterminated string".into()));
-                }
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| PolicyError::Parse("non-UTF-8 string".into()))?
-            .to_string();
-        self.pos += 1; // closing quote
-        Ok(text)
-    }
-
-    fn parse_string_array(&mut self) -> Result<Vec<String>, PolicyError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.eat(b']') {
-                break;
-            }
-            out.push(self.parse_string()?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            break;
-        }
-        Ok(out)
-    }
-
-    fn parse_number(&mut self) -> Result<f64, PolicyError> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| PolicyError::Parse("non-UTF-8 number".into()))?;
-        text.parse::<f64>()
-            .map_err(|_| PolicyError::Parse(format!("bad number `{text}` at byte {start}")))
+        b'a' => Some(Action::Adopt),
+        b'o' => Some(Action::Override),
+        b'm' => Some(Action::Match),
+        b'w' => Some(Action::Wait),
+        _ => None,
     }
 }
 
@@ -1505,6 +1390,36 @@ mod tests {
                 PolicyTable::from_json(&broken).is_err(),
                 "{from} -> {to} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn text_outside_the_artifact_grammar_is_rejected() {
+        let json = PolicyTable::honest(0.3, 0.5, 4)
+            .with_family("sm1")
+            .to_json();
+        assert!(PolicyTable::from_json(&json).is_ok());
+        let hostile = [
+            // Bytes after the closing brace.
+            format!("{json}x"),
+            format!("{json}{{}}"),
+            // Escapes, even ones that decode to plain text.
+            json.replace("\"sm1\"", "\"s\\u006d1\""),
+            json.replace("\"sm1\"", "\"s\\\"m1\""),
+            // A family name `with_family` would refuse.
+            json.replace("\"sm1\"", "\"sm\u{0085}1\""),
+            // Unknown fields holding other JSON value kinds.
+            json.replace("\"alpha\"", "\"note\": true,\n  \"alpha\""),
+            json.replace("\"alpha\"", "\"note\": {\"a\": 1},\n  \"alpha\""),
+            json.replace("\"alpha\"", "\"note\": [1, 2],\n  \"alpha\""),
+            // Mistyped known fields.
+            json.replace("\"max_len\": 4", "\"max_len\": \"4\""),
+            json.replace(&format!("\"{KIND}\""), &format!("[\"{KIND}\"]")),
+            String::from("[]"),
+        ];
+        for text in &hostile {
+            assert_ne!(text, &json);
+            assert!(PolicyTable::from_json(text).is_err(), "{text}");
         }
     }
 

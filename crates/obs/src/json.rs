@@ -296,20 +296,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    match s.chars().next() {
-                        Some(c) => {
-                            if (c as u32) < 0x20 {
-                                return Err(self.err("raw control character in string"));
-                            }
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("unterminated string")),
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte as one slice. All three are ASCII,
+                    // so the run ends on a char boundary and validating
+                    // it costs O(run), never O(rest of input).
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
+                    if start == self.pos {
+                        return Err(self.err("raw control character in string"));
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -435,6 +435,22 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "tru", "\"unterminated"] {
             assert!(parse_json(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MiB string value: two runs of mixed one-, two- and
+        // four-byte scalars around one escape.
+        let unit = "abc\u{00e9}\u{1F600}xyz";
+        let body = unit.repeat((1 << 19) / unit.len());
+        let doc = format!("{{\"s\": \"{body}\\n{body}\"}}");
+        let v = parse_json(&doc).unwrap();
+        assert_eq!(
+            v.get("s").and_then(JsonValue::as_str),
+            Some(format!("{body}\n{body}").as_str())
+        );
+        assert!(parse_json("\"tab\there\"").is_err(), "raw control byte");
+        assert!(parse_json("\"a\u{0001}\"").is_err(), "raw control byte");
     }
 
     #[test]

@@ -43,22 +43,13 @@ pub trait Recorder: Send + Sync {
         0
     }
 
-    /// Adds `delta` to the named counter.
-    fn counter_add(&self, _key: &str, _delta: u64) {}
-
-    /// Sets the named gauge to `value` (last write wins).
-    fn gauge_set(&self, _key: &str, _value: f64) {}
-
-    /// Records one sample of the named distribution.
-    fn observe(&self, _key: &str, _value: u64) {}
-
     /// Records a completed span: `name` ran on `worker` from `start_ns` to
     /// `end_ns` (both relative to [`Recorder::now_ns`]'s epoch).
     fn span(&self, _name: &str, _worker: usize, _start_ns: u64, _end_ns: u64) {}
 
     /// Records one canonical flight-recorder event (see
     /// [`crate::events`]).  The stock sink is [`crate::EventLog`]; the
-    /// default body is empty, so metrics-only recorders ignore events.
+    /// default body is empty, so span-only recorders ignore events.
     fn event(&self, _kind: EventKind, _actor: u32, _a: u64, _b: u64) {}
 }
 
@@ -207,7 +198,6 @@ mod tests {
         let rec = NoopRecorder;
         assert!(!rec.enabled());
         assert_eq!(rec.now_ns(), 0);
-        rec.counter_add("x", 1);
         rec.span("x", 0, 0, 1);
     }
 

@@ -2,15 +2,26 @@
 //! 100,000 blocks each (Section V); this module runs seeds in parallel and
 //! aggregates the reports.
 //!
-//! Each run `k` is an independent simulation seeded `base_seed + k`, so the
-//! reports are a pure function of the configuration: the thread count only
-//! decides which worker executes which seed, never the result. Workers pull
-//! run indices from a shared queue (no up-front chunking, so any
-//! `runs`/`threads` ratio stays fully utilized) and recycle one
-//! [`Simulation`] engine — block-tree arena included — across all the runs
-//! they execute.
+//! Every parallel sweep in the workspace goes through one scheduler,
+//! [`work_queue`]: workers pull item indices from a shared atomic counter
+//! (no up-front chunking, so any `items`/`threads` ratio and any mix of
+//! item costs stays fully utilized), the calling thread acts as worker 0,
+//! and results come back in index order. Each worker carries one
+//! [`TelemetryShard`] and a private state built once per worker. As long
+//! as an item's result is a pure function of its index, the output is
+//! bit-identical for every thread count: the thread count only decides
+//! which worker executes which item.
+//!
+//! Two thin callers cover the workspace's sweeps:
+//!
+//! - [`run_many`] (and its `_with_threads`/`_recorded` variants): run `k`
+//!   is an independent simulation seeded `base_seed + k`, and each worker
+//!   recycles one [`Simulation`] engine — block-tree arena included —
+//!   across all the runs it executes;
+//! - [`par_map`] / [`par_map_traced`]: one task per element of a slice of
+//!   sweep points, as used by the study bins and the zoo tournament.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use seleth_chain::Scenario;
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, TelemetryShard};
@@ -18,6 +29,153 @@ use seleth_obs::{NoopRecorder, Recorder, Stopwatch, TelemetryShard};
 use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::stats::SimReport;
+
+/// Evaluate `task` for every index `0..len` on a shared work queue and
+/// return the results in index order, plus one [`TelemetryShard`] per
+/// worker (in worker order).
+///
+/// `threads = 0` uses `available_parallelism`; the count is capped at
+/// `len`, and the calling thread is worker 0, so one worker spawns no
+/// thread at all. Each worker calls `init` exactly once, before its first
+/// claim, and hands the state to every task it runs — the hook for
+/// per-worker buffers such as a recycled [`Simulation`]. An empty queue
+/// builds no state and returns no shards.
+///
+/// The scheduler records, per worker, the tasks claimed, busy time
+/// (inside `task`) and queue wait (time between finishing one task and
+/// claiming the next); `task` folds its own counters into the shard it
+/// is given. Counter totals merged over all shards are therefore
+/// invariant to the thread count whenever each task's deltas are;
+/// wall-clock fields are measurements with no such guarantee. When
+/// `recorder` is enabled, one `span` per task is emitted.
+///
+/// # Panics
+///
+/// Panics if a worker panics (i.e. `init` or `task` panicked).
+pub fn work_queue<S, R, I, F>(
+    len: usize,
+    threads: usize,
+    recorder: &dyn Recorder,
+    span: &str,
+    init: I,
+    task: F,
+) -> (Vec<R>, Vec<TelemetryShard>)
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut TelemetryShard) -> R + Sync,
+{
+    if len == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        threads
+    }
+    .min(len);
+
+    let next = AtomicUsize::new(0);
+    let work = |worker: usize| -> (Vec<(usize, R)>, TelemetryShard) {
+        let mut state = init();
+        let mut shard = TelemetryShard::new(worker);
+        let mut produced = Vec::new();
+        let mut idle = Stopwatch::start();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= len {
+                break;
+            }
+            shard.queue_wait_ns += idle.elapsed_ns();
+            let busy = Stopwatch::start();
+            let span_start = if recorder.enabled() {
+                recorder.now_ns()
+            } else {
+                0
+            };
+            produced.push((k, task(&mut state, k, &mut shard)));
+            shard.tasks += 1;
+            shard.busy_ns += busy.elapsed_ns();
+            if recorder.enabled() {
+                recorder.span(span, worker, span_start, recorder.now_ns());
+            }
+            idle = Stopwatch::start();
+        }
+        (produced, shard)
+    };
+
+    let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    let mut shards = Vec::with_capacity(threads);
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (1..threads)
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        let mut collect = |(produced, shard): (Vec<(usize, R)>, TelemetryShard)| {
+            for (k, r) in produced {
+                results[k] = Some(r);
+            }
+            shards.push(shard);
+        };
+        collect(work(0));
+        for handle in handles {
+            collect(handle.join().expect("work-queue worker panicked"));
+        }
+    });
+    (
+        results
+            .into_iter()
+            .map(|r| r.expect("every index claimed"))
+            .collect(),
+        shards,
+    )
+}
+
+/// Evaluate `f` over `items` on the [`work_queue`], returning results in
+/// input order — bit-identical for every thread count as long as `f` is a
+/// pure function of its item. `threads = 0` uses `available_parallelism`.
+///
+/// # Panics
+///
+/// Panics if a worker panics (i.e. `f` itself panicked).
+pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    par_map_traced(items, threads, &NoopRecorder, |item, _| f(item)).0
+}
+
+/// [`par_map`] with per-worker telemetry: `f` folds domain counters into
+/// its worker's [`TelemetryShard`], and the queue records tasks claimed,
+/// busy time and queue wait per worker. When `recorder` is enabled, one
+/// `"task"` span per item is emitted so a `--trace` run can reconstruct
+/// the schedule.
+///
+/// # Panics
+///
+/// Panics if a worker panics (i.e. `f` itself panicked).
+pub fn par_map_traced<T, R, F>(
+    items: &[T],
+    threads: usize,
+    recorder: &dyn Recorder,
+    f: F,
+) -> (Vec<R>, Vec<TelemetryShard>)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T, &mut TelemetryShard) -> R + Sync,
+{
+    work_queue(
+        items.len(),
+        threads,
+        recorder,
+        "task",
+        || (),
+        |(), k, shard| f(&items[k], shard),
+    )
+}
 
 /// Run `runs` independent simulations (seeds `base_seed..base_seed+runs`)
 /// in parallel and collect the reports in seed order.
@@ -48,9 +206,8 @@ pub fn run_many_with_threads(config: &SimConfig, runs: u64, threads: usize) -> V
 /// As [`run_many_with_threads`], additionally returning one
 /// [`TelemetryShard`] per worker thread.
 ///
-/// Each shard carries the worker's busy time, queue wait (time between
-/// finishing one run and starting the next, including thread startup),
-/// tasks claimed, and the deterministic scheduler counters `sim.runs`,
+/// Each shard carries the [`work_queue`]'s busy time, queue wait and
+/// tasks claimed, plus the deterministic counters `sim.runs`,
 /// `sim.blocks`, `sim.engine_builds` and `sim.engine_reuses`. Counter
 /// *totals* over all shards are bit-identical for every thread count
 /// (each run contributes fixed deltas; only their grouping varies);
@@ -67,38 +224,16 @@ pub fn run_many_recorded(
     recorder: &dyn Recorder,
 ) -> (Vec<SimReport>, Vec<TelemetryShard>) {
     let base = config.seed();
-    if runs == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    }
-    .min(usize::try_from(runs).unwrap_or(usize::MAX))
-    .max(1);
-
-    // One worker body shared by the sequential and parallel paths, so the
-    // engine-reuse discipline and telemetry accounting cannot drift apart.
-    let work = |worker: usize, next: &AtomicU64| -> (Vec<(u64, SimReport)>, TelemetryShard) {
-        let mut shard = TelemetryShard::new(worker);
-        let mut produced: Vec<(u64, SimReport)> = Vec::new();
-        let mut engine: Option<Simulation> = None;
-        let mut idle = Stopwatch::start();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= runs {
-                break;
-            }
-            shard.queue_wait_ns += idle.elapsed_ns();
-            let busy = Stopwatch::start();
-            let span_start = if recorder.enabled() {
-                recorder.now_ns()
-            } else {
-                0
-            };
-            let run_config = config.with_seed(base + k);
-            let report = match engine.as_mut() {
+    let runs = usize::try_from(runs).expect("run count fits usize");
+    work_queue(
+        runs,
+        threads,
+        recorder,
+        "run",
+        || None::<Simulation>,
+        |engine, k, shard| {
+            let run_config = config.with_seed(base + k as u64);
+            let report = match engine {
                 Some(sim) => {
                     shard.add("sim.engine_reuses", 1);
                     sim.reset(run_config);
@@ -106,56 +241,13 @@ pub fn run_many_recorded(
                 }
                 None => {
                     shard.add("sim.engine_builds", 1);
-                    let mut sim = Simulation::new(run_config);
-                    let report = sim.run_in_place();
-                    engine = Some(sim);
-                    report
+                    engine.insert(Simulation::new(run_config)).run_in_place()
                 }
             };
-            shard.tasks += 1;
-            shard.busy_ns += busy.elapsed_ns();
             shard.add("sim.runs", 1);
             shard.add("sim.blocks", config.blocks());
-            if recorder.enabled() {
-                recorder.span("run", worker, span_start, recorder.now_ns());
-            }
-            produced.push((k, report));
-            idle = Stopwatch::start();
-        }
-        (produced, shard)
-    };
-
-    if threads == 1 {
-        let next = AtomicU64::new(0);
-        let (produced, shard) = work(0, &next);
-        return (produced.into_iter().map(|(_, r)| r).collect(), vec![shard]);
-    }
-
-    let next = AtomicU64::new(0);
-    let mut reports: Vec<Option<SimReport>> = (0..runs).map(|_| None).collect();
-    let mut shards: Vec<TelemetryShard> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let next = &next;
-                let work = &work;
-                scope.spawn(move || work(worker, next))
-            })
-            .collect();
-        for handle in handles {
-            let (produced, shard) = handle.join().expect("simulation worker panicked");
-            for (k, report) in produced {
-                reports[usize::try_from(k).expect("run index fits usize")] = Some(report);
-            }
-            shards.push(shard);
-        }
-    });
-    (
-        reports
-            .into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect(),
-        shards,
+            report
+        },
     )
 }
 
@@ -339,6 +431,88 @@ mod tests {
         assert_eq!(log.events().len(), 3);
         let tasks: u64 = shards.iter().map(|s| s.tasks).sum();
         assert_eq!(tasks, 3);
+    }
+
+    #[test]
+    fn par_map_preserves_order_and_thread_invariance() {
+        let items: Vec<u64> = (0..23).collect();
+        let reference: Vec<u64> = items.iter().map(|v| v * v).collect();
+        for threads in [0, 1, 2, 7, 64] {
+            let out = par_map(&items, threads, |v| v * v);
+            assert_eq!(out, reference, "threads={threads}");
+        }
+        assert_eq!(par_map::<u64, u64, _>(&[], 4, |v| *v), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn par_map_traced_is_thread_invariant_and_counts_work() {
+        let items: Vec<u64> = (0..17).collect();
+        let reference: Vec<u64> = items.iter().map(|v| v * 3).collect();
+        for threads in [1, 2, 8] {
+            let (out, shards) =
+                par_map_traced(&items, threads, &seleth_obs::NoopRecorder, |v, shard| {
+                    shard.add("item.sum", *v);
+                    v * 3
+                });
+            assert_eq!(out, reference, "threads={threads}");
+            assert_eq!(shards.iter().map(|s| s.tasks).sum::<u64>(), 17);
+            // Counter totals are bit-identical in any worker grouping.
+            assert_eq!(
+                shards.iter().map(|s| s.counter("item.sum")).sum::<u64>(),
+                items.iter().sum::<u64>(),
+                "threads={threads}"
+            );
+        }
+        let trace = seleth_obs::TraceLog::new();
+        let (_, shards) = par_map_traced(&items, 2, &trace, |v, _| *v);
+        assert_eq!(trace.len(), items.len(), "one span per task");
+        assert!(trace.events().iter().all(|e| e.name == "task"));
+        assert!(shards.iter().all(|s| s.tasks == 0 || s.busy_ns > 0));
+    }
+
+    #[test]
+    fn worker_state_is_built_once_and_results_keep_input_order() {
+        use std::sync::atomic::AtomicUsize;
+
+        for threads in [0usize, 1, 2, 64] {
+            for len in [0usize, 1, 5] {
+                let builds = AtomicUsize::new(0);
+                let (out, shards) = work_queue(
+                    len,
+                    threads,
+                    &NoopRecorder,
+                    "task",
+                    || (builds.fetch_add(1, Ordering::Relaxed), 0usize),
+                    |(id, runs), k, shard| {
+                        *runs += 1;
+                        shard.add("runs", 1);
+                        (k, *id, *runs)
+                    },
+                );
+                let label = format!("threads={threads} len={len}");
+                let indices: Vec<usize> = out.iter().map(|&(k, _, _)| k).collect();
+                assert_eq!(indices, (0..len).collect::<Vec<_>>(), "{label}");
+                // One state per worker, never rebuilt between its tasks.
+                let built = builds.load(Ordering::Relaxed);
+                assert_eq!(built, shards.len(), "{label}");
+                assert!(built <= len, "{label}");
+                if threads > 0 {
+                    assert!(built <= threads, "{label}");
+                }
+                for (id, shard) in shards.iter().enumerate() {
+                    assert_eq!(shard.worker, id, "{label}");
+                }
+                // A state's run counter climbs 1, 2, ... across the tasks
+                // it serves, so each state's tasks sum to its shard's.
+                let mut per_state = vec![0u64; built];
+                for &(_, id, runs) in &out {
+                    per_state[id] = per_state[id].max(runs as u64);
+                }
+                assert_eq!(per_state.iter().sum::<u64>(), len as u64, "{label}");
+                let tasks: u64 = shards.iter().map(|s| s.tasks).sum();
+                assert_eq!(tasks, len as u64, "{label}");
+            }
+        }
     }
 
     #[test]

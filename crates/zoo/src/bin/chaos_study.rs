@@ -39,7 +39,7 @@ use seleth_chain::RewardSchedule;
 use seleth_mdp::{PolicyTable, RewardModel};
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog};
 use seleth_sim::delay::DelayConfig;
-use seleth_sim::{pools, FaultPlan};
+use seleth_sim::{multi, pools, FaultPlan};
 use seleth_zoo::Family;
 
 /// Mean block interval for every run (Ethereum-like, seconds).
@@ -282,10 +282,9 @@ fn main() {
             // Grid cells in parallel through the shared work-queue
             // helper; results are bit-identical for every thread count.
             let sweep = Stopwatch::start();
-            let (results, shards) =
-                seleth_bench::par_map_traced(&cells, 0, recorder, |cell, shard| {
-                    eval_cell(strategy, shares, cell, runs, blocks, fault_seed, shard)
-                });
+            let (results, shards) = multi::par_map_traced(&cells, 0, recorder, |cell, shard| {
+                eval_cell(strategy, shares, cell, runs, blocks, fault_seed, shard)
+            });
             telemetry.add_phase("sweep", sweep.elapsed_ns());
             for shard in &shards {
                 telemetry.fold_shard(shard);

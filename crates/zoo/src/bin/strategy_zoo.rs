@@ -6,7 +6,8 @@
 //! propagation delay, plus two-strategist **matchup** cells (SM1 vs SM1,
 //! and the optimal artifact vs SM1, in one delay-simulator run each).
 //! All cells are evaluated through `seleth_zoo::Tournament`, in parallel
-//! across sweep points via the shared `seleth_bench::par_map` work queue.
+//! across sweep points via the workspace's one work queue
+//! (`seleth_sim::multi::par_map_traced`).
 //!
 //! Gates (exit code 1 on failure):
 //!

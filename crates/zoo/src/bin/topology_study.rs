@@ -48,6 +48,7 @@ use seleth_mdp::{PolicyTable, RewardModel};
 use seleth_net::Topology;
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog};
 use seleth_sim::delay::DelayConfig;
+use seleth_sim::multi;
 use seleth_zoo::Family;
 
 /// Mean block interval for every run (Ethereum-like, seconds).
@@ -292,10 +293,9 @@ fn main() {
             // every per-edge draw hashes off the topology seed, so the
             // sweep is bit-identical at any thread count.
             let sweep = Stopwatch::start();
-            let (results, shards) =
-                seleth_bench::par_map_traced(&cells, 0, recorder, |shape, shard| {
-                    eval_cell(strategy, &shares, shape, runs, blocks, shard)
-                });
+            let (results, shards) = multi::par_map_traced(&cells, 0, recorder, |shape, shard| {
+                eval_cell(strategy, &shares, shape, runs, blocks, shard)
+            });
             telemetry.add_phase("sweep", sweep.elapsed_ns());
             for shard in &shards {
                 telemetry.fold_shard(shard);

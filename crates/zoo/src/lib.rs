@@ -23,7 +23,7 @@
 //!   share-split, including **multi-strategist matchups** (two
 //!   table-driven miners attacking each other in one delay-simulator
 //!   run), evaluated in parallel across sweep points with
-//!   [`seleth_bench::par_map`]'s work queue.
+//!   [`seleth_sim::multi::work_queue`].
 //!
 //! The `strategy_zoo` binary drives the full study and writes the ranked
 //! `results/zoo_study.json`.

@@ -13,7 +13,7 @@
 //! repetitions and reports per-strategist mean revenue (RegularRate
 //! normalization, the same quantity as an artifact's ρ*), its standard
 //! error, and the cell's orphan rate. Cells are independent, so the sweep
-//! runs through [`seleth_bench::par_map`]'s work queue: results are
+//! runs through [`seleth_sim::multi::work_queue`]: results are
 //! bit-identical for every thread count, and heterogeneous cell costs
 //! stay load-balanced.
 
@@ -21,6 +21,7 @@ use seleth_bench::report::replay_revenue;
 use seleth_chain::RewardSchedule;
 use seleth_mdp::RewardModel;
 use seleth_sim::delay::{DelayConfig, DelayCounters, MinerStrategy};
+use seleth_sim::multi;
 
 use crate::registry::StrategyRegistry;
 
@@ -213,7 +214,7 @@ impl<'r> Tournament<'r> {
     }
 
     /// [`Tournament::run`] with per-worker telemetry: cells sweep through
-    /// `seleth_bench::par_map_traced`, each worker folding its cells'
+    /// `seleth_sim::multi::par_map_traced`, each worker folding its cells'
     /// deterministic engine counters into a shard. Cell results are
     /// bit-identical to [`Tournament::run`]; shard counter totals merge
     /// to the same values at any thread count.
@@ -225,7 +226,7 @@ impl<'r> Tournament<'r> {
         &self,
         recorder: &dyn seleth_obs::Recorder,
     ) -> (Vec<CellResult>, Vec<seleth_obs::TelemetryShard>) {
-        seleth_bench::par_map_traced(&self.cells, self.config.threads, recorder, |cell, shard| {
+        multi::par_map_traced(&self.cells, self.config.threads, recorder, |cell, shard| {
             let result = self.eval(cell);
             result.counters.record_into(shard);
             shard.add("study.runs", self.config.runs);

@@ -23,8 +23,8 @@
 
 use selfish_ethereum::prelude::*;
 
-use seleth_bench::par_map;
 use seleth_sim::diagnose::capacity_for;
+use seleth_sim::multi::par_map;
 
 // ---------------------------------------------------------------------
 // 1. Recording is bit-neutral

@@ -37,12 +37,11 @@ fn delay_counter_totals_are_thread_invariant() {
     let seeds: Vec<u64> = (0..9).collect();
     let mut totals = Vec::new();
     for threads in [1usize, 2, 8] {
-        let (_, shards) =
-            seleth_bench::par_map_traced(&seeds, threads, &NoopRecorder, |&seed, shard| {
-                let counters = faulty_delay_counters(seed);
-                counters.record_into(shard);
-                counters
-            });
+        let (_, shards) = multi::par_map_traced(&seeds, threads, &NoopRecorder, |&seed, shard| {
+            let counters = faulty_delay_counters(seed);
+            counters.record_into(shard);
+            counters
+        });
         let merged = Telemetry::merge_shards(&shards);
         let counters: Vec<(String, u64)> =
             merged.counters().map(|(k, v)| (k.to_string(), v)).collect();

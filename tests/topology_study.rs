@@ -28,7 +28,7 @@ use proptest::prelude::*;
 
 use selfish_ethereum::prelude::*;
 
-use seleth_bench::par_map;
+use seleth_sim::multi::par_map;
 
 /// The classic SM1 rule as a policy table — the same hand-written
 /// strategy the delay-study and chaos gates replay.
