@@ -41,26 +41,14 @@
 
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
+use seleth_bench::best_of;
 use seleth_bench::report::{trace_arg, write_trace};
 use seleth_chain::RewardSchedule;
 use seleth_core::{stationary, Analysis, ModelParams, State};
 use seleth_markov::{SolveMethod, SolveOptions};
 use seleth_mdp::{MdpConfig, RewardModel};
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TraceLog};
-
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let value = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (best, out.expect("at least one repetition"))
-}
 
 fn main() {
     let trace_path = trace_arg();

@@ -43,6 +43,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 
 pub mod report;
 
@@ -247,6 +248,25 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
         writeln!(file, "{}", row.join(",")).expect("write CSV row");
     }
     path
+}
+
+/// Run `f` `reps` times (at least once) and return the fastest wall time
+/// in seconds together with the value *that* run produced, so timing
+/// carried inside the value (per-worker spans, say) lines up with the
+/// reported time. The one best-of-N estimator of every `bench_*` bin.
+pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let value = f();
+        let elapsed = start.elapsed().as_secs_f64();
+        if elapsed < best {
+            best = elapsed;
+            out = Some(value);
+        }
+    }
+    (best, out.expect("at least one repetition"))
 }
 
 /// Read an integer experiment knob from the environment, falling back to

@@ -127,18 +127,21 @@ impl MinerStrategy {
 }
 
 /// How released blocks reach the other miners.
+///
+/// Both models feed the same per-miner delivery path: a block reaches
+/// each receiver `delay + surcharge` after release. The model only
+/// chooses the surcharge.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum PropagationModel {
-    /// The uniform model: every miner hears every block exactly `delay`
-    /// after release (the original delay engine).
+    /// The uniform model: every surcharge is `0.0`, so every miner hears
+    /// every block exactly `delay` after release. Equivalent, bit for
+    /// bit, to [`PropagationModel::Graph`] over
+    /// [`Topology::complete`]`(miners, delay)`.
     #[default]
     Uniform,
     /// Gossip over a peer graph ([`seleth_net::Topology`]): each miner
-    /// hears each block at its graph-shortest-path arrival time. The
-    /// per-receiver surcharge relative to the base `delay` folds into the
-    /// same pending-queue machinery the uniform model uses, so a
-    /// complete-graph topology whose edge latency equals `delay`
-    /// reproduces the uniform engine bit-for-bit. Shared via [`Arc`]:
+    /// hears each block at its graph-shortest-path arrival time, and the
+    /// surcharge is that arrival minus `delay`. Shared via [`Arc`]:
     /// cloning a configuration per seed never copies the graph.
     Graph(Arc<Topology>),
 }
@@ -454,18 +457,18 @@ struct Strategist {
     crashed: bool,
 }
 
-/// One queued delivery of a released block to a receiver — a public view
-/// or a strategist's inbox — due at `pub_time(block) + delay + extra`
-/// (strategists) or visible at `pub_time(block) + extra + delay` past
-/// release (views; same ordering).
+/// One queued delivery of a released block to a receiver — a miner's
+/// public frontier or a strategist's inbox — due at
+/// `pub_time(block) + delay + extra`.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     block: BlockId,
-    /// The fault layer's surcharge on top of the base propagation delay:
-    /// accumulated reorder jitter and re-gossip backoff. Exactly `0.0` on
-    /// the zero-fault path — and `x + 0.0` is bitwise `x` for the finite
-    /// release timestamps, which is what keeps zero-fault runs
-    /// byte-identical to the fault-unaware engine.
+    /// The surcharge on top of the base propagation delay: the graph's
+    /// per-receiver arrival offset plus the fault layer's accumulated
+    /// reorder jitter and re-gossip backoff. Exactly `0.0` for uniform
+    /// zero-fault runs — and `x + 0.0` is bitwise `x` for the finite
+    /// release timestamps, which is what keeps those runs byte-identical
+    /// to the fault-unaware engine.
     extra: f64,
     /// Delivery attempts so far; keys the per-attempt fault coins.
     attempt: u32,
@@ -474,24 +477,10 @@ struct Pending {
     dup: bool,
 }
 
-impl Pending {
-    fn first(block: BlockId, extra: f64) -> Self {
-        Pending {
-            block,
-            extra,
-            attempt: 0,
-            dup: false,
-        }
-    }
-}
-
-/// One public frontier. View 0 is the shared network; under a fault plan
-/// with partitions there is one additional view per partition group id,
-/// and honest miners read the view of their current group. Every view
-/// receives every delivery at all times (so dormant views track the
-/// shared frontier for free); a delivery into view `v` stalls only while
-/// an *active* partition uses group `v` and assigns the producer
-/// elsewhere — it then retries with backoff until the partition heals.
+/// One miner's public frontier: the tip it mines on when honest and
+/// resyncs to after a crash. Every frontier receives every released
+/// block through the fault gate ([`DelaySimulation::admit`]), so a stall
+/// or a lost gossip delays that one miner only.
 #[derive(Debug)]
 struct PublicView {
     /// Best (highest, earliest-released) block fully propagated to this
@@ -505,25 +494,13 @@ struct PublicView {
     pending: VecDeque<Pending>,
 }
 
-/// Receiver-id namespace of the public views inside the fault plan's hash
-/// streams; strategist receivers use their (small) miner index directly.
-fn view_receiver(v: usize) -> u64 {
-    (1u64 << 32) + v as u64
-}
-
-/// Insert `p` into a due-time-ordered queue. Duplicates and retries can
-/// land out of order; the zero-fault path (every `extra` zero, release
-/// times monotone) always takes the `push_back` branch, preserving the
-/// fault-unaware engine's queue order exactly.
-fn enqueue(queue: &mut VecDeque<Pending>, pub_time: &[f64], p: Pending) {
-    let due = pub_time[p.block.index()] + p.extra;
-    match queue.back() {
-        Some(b) if pub_time[b.block.index()] + b.extra > due => {
-            let at = queue.partition_point(|e| pub_time[e.block.index()] + e.extra <= due);
-            queue.insert(at, p);
-        }
-        _ => queue.push_back(p),
-    }
+/// Where a delivery is queued.
+#[derive(Debug, Clone, Copy)]
+enum Receiver {
+    /// Frontier `views[v]`.
+    Frontier(usize),
+    /// Strategist `strategists[i]`'s inbox.
+    Inbox(usize),
 }
 
 /// Deterministic event counters of one delay run.
@@ -540,8 +517,8 @@ pub struct DelayCounters {
     pub mining_events: u64,
     /// Poisson event slots lost to a crashed miner (thinning).
     pub thinned_events: u64,
-    /// Delivery events processed at a receiver (views and strategist
-    /// inboxes; duplicate copies count here too once processed).
+    /// Delivery events processed at a receiver (public frontiers and
+    /// strategist inboxes; duplicate copies count here too once processed).
     pub deliveries: u64,
     /// Inert duplicate copies processed at a receiver.
     pub duplicate_deliveries: u64,
@@ -602,32 +579,8 @@ impl DelayCounters {
 
     /// Counter values under their stable telemetry keys.
     pub fn entries(&self) -> [(&'static str, u64); 24] {
-        [
-            ("delay.mining_events", self.mining_events),
-            ("delay.thinned_events", self.thinned_events),
-            ("delay.deliveries", self.deliveries),
-            ("delay.duplicate_deliveries", self.duplicate_deliveries),
-            ("delay.drops", self.drops),
-            ("delay.regossip_attempts", self.regossip_attempts),
-            ("delay.partition_stalls", self.partition_stalls),
-            ("delay.partition_heals", self.partition_heals),
-            ("delay.crash_misses", self.crash_misses),
-            ("delay.crash_resyncs", self.crash_resyncs),
-            ("delay.forced_adopts", self.forced_adopts),
-            ("delay.adopts", self.adopts),
-            ("delay.overrides", self.overrides),
-            ("delay.matches", self.matches),
-            ("delay.released_blocks", self.released_blocks),
-            ("delay.orphan_blocks", self.orphan_blocks),
-            ("delay.gossip_sends", self.gossip_sends),
-            ("delay.gossip_dedup_drops", self.gossip_dedup_drops),
-            ("delay.gossip_loss_retries", self.gossip_loss_retries),
-            ("delay.gossip_unreachable", self.gossip_unreachable),
-            ("delay.gossip_hops_1", self.gossip_hops_1),
-            ("delay.gossip_hops_2", self.gossip_hops_2),
-            ("delay.gossip_hops_3", self.gossip_hops_3),
-            ("delay.gossip_hops_4_plus", self.gossip_hops_4_plus),
-        ]
+        let mut copy = *self;
+        copy.entries_mut().map(|(key, value)| (key, *value))
     }
 
     fn entries_mut(&mut self) -> [(&'static str, &mut u64); 24] {
@@ -685,22 +638,11 @@ struct GraphNet {
     topology: Arc<Topology>,
     /// Flattened `[block_index * miners + receiver]` queue surcharges:
     /// `arrival - delay` for cross-miner deliveries, `0.0` for the
-    /// producer's own view (its frontier adopts the block on the shared
-    /// schedule, exactly like the uniform model — instant self-visibility
-    /// comes from the pending self-scan), [`f64::INFINITY`] while a block
-    /// is withheld or unreachable.
+    /// producer's own frontier (it adopts the block on the uniform
+    /// schedule — instant self-visibility comes from the pending
+    /// self-scan), [`f64::INFINITY`] while a block is withheld or
+    /// unreachable.
     extras: Vec<f64>,
-}
-
-impl GraphNet {
-    /// The surcharge of `block` toward `receiver` (`INFINITY` when the
-    /// block was never released or never reaches the receiver).
-    fn extra(&self, block: usize, miners: usize, receiver: usize) -> f64 {
-        self.extras
-            .get(block * miners + receiver)
-            .copied()
-            .unwrap_or(f64::INFINITY)
-    }
 }
 
 /// The delay-study simulator.
@@ -712,8 +654,9 @@ pub struct DelaySimulation {
     /// Release time per block (`f64::INFINITY` while withheld); visible to
     /// non-producers at `+delay`.
     pub_time: Vec<f64>,
-    /// Public frontier views (always at least the shared view 0; one per
-    /// partition group under a partitioned fault plan).
+    /// Public frontiers, one per miner (index = miner), or a single shared
+    /// one when every miner provably receives the same delivery stream
+    /// (see [`DelaySimulation::new`]).
     views: Vec<PublicView>,
     strategists: Vec<Strategist>,
     /// The fault plan's crash schedule (inert without crash faults).
@@ -734,8 +677,7 @@ pub struct DelaySimulation {
     /// Optional flight recorder ([`DelaySimulation::attach_events`]);
     /// `None` (the default) keeps every instrumentation site one branch.
     events: Option<Arc<EventLog>>,
-    /// Graph-propagation state; `None` under the uniform model (every
-    /// graph branch is then one predictable-false test).
+    /// Graph-propagation state; `None` under the uniform model.
     graph: Option<GraphNet>,
     /// Scratch buffer for [`uncles::select_uncles`], reused by every mint.
     uncle_refs: Vec<BlockId>,
@@ -787,15 +729,13 @@ impl DelaySimulation {
             }),
         };
         let plan = config.faults();
-        // Uniform mode: the shared view 0 plus one view per partition
-        // group. Graph mode: every miner has its own frontier (view
-        // index = miner index) because arrival times differ per receiver;
-        // partitions then act as timed graph cuts over the same views.
-        let view_count = if graph.is_some() {
-            config.shares().len()
-        } else {
-            plan.view_count()
-        };
+        // Every miner has its own frontier, except in uniform runs without
+        // link faults or partitions: there every surcharge is 0.0 and no
+        // delivery is ever stalled or dropped, so all frontiers would
+        // receive the same stream and one shared frontier stands in for
+        // them all.
+        let shared = graph.is_none() && !plan.has_link_faults() && !plan.has_partitions();
+        let view_count = if shared { 1 } else { config.shares().len() };
         let views = (0..view_count)
             .map(|_| PublicView {
                 best: genesis,
@@ -961,7 +901,7 @@ impl DelaySimulation {
     }
 
     /// Release a withheld block at time `t`: it enters every public
-    /// view's propagation pipeline and every other strategic miner's
+    /// frontier's propagation pipeline and every other strategic miner's
     /// inbox, each link drawing its own reorder jitter from the fault
     /// plan (exactly `0.0` without link faults).
     fn release(&mut self, id: BlockId, t: f64, producer: MinerId) {
@@ -977,64 +917,163 @@ impl DelaySimulation {
             t.to_bits(),
         );
         self.pub_time[id.index()] = t;
-        let block = id.index() as u64;
-        // Graph mode: one gossip propagation per release. Per-receiver
-        // arrivals fold into the queues' `extra` surcharge relative to
-        // the base delay: a complete/uniform topology yields exactly
-        // `0.0` for every pair (`latency - delay` on bitwise-equal
-        // values), which keeps every downstream comparison the same
-        // operation as under the uniform model. The schedule is a pure
-        // function of (topology, producer, block) — never the sim RNG.
+        // Graph mode: one gossip propagation per release, stored as the
+        // per-receiver surcharges `extra` reads. A complete graph at the
+        // uniform latency yields exactly `0.0` for every pair
+        // (`latency - delay` on bitwise-equal values), the uniform
+        // model's surcharge. The schedule is a pure function of
+        // (topology, producer, block) — never the sim RNG.
         if self.graph.is_some() {
             self.gossip_release(id, producer);
         }
         for v in 0..self.views.len() {
-            let mut extra = match &self.graph {
-                // The producer's own view keeps the shared schedule
-                // (extra 0.0, stored as such by gossip_release).
-                Some(net) => net.extra(id.index(), self.config.shares.len(), v),
-                None => 0.0,
-            };
-            if !extra.is_finite() {
-                continue; // the graph never delivers it to this miner
-            }
-            if self.link_faults {
-                extra += self
-                    .config
-                    .faults
-                    .delivery_jitter(block, view_receiver(v), 0);
-            }
-            enqueue(
-                &mut self.views[v].pending,
-                &self.pub_time,
-                Pending::first(id, extra),
-            );
+            self.send(Receiver::Frontier(v), id);
         }
-        let miners = self.config.shares.len();
-        let link_faults = self.link_faults;
-        let Self {
-            strategists,
-            graph,
-            config,
-            pub_time,
-            ..
-        } = self;
-        let plan = &config.faults;
-        for s in strategists.iter_mut() {
-            if s.miner != producer {
-                let mut extra = match graph {
-                    Some(net) => net.extra(id.index(), miners, s.miner.0 as usize),
-                    None => 0.0,
+        for i in 0..self.strategists.len() {
+            if self.strategists[i].miner != producer {
+                self.send(Receiver::Inbox(i), id);
+            }
+        }
+    }
+
+    /// The surcharge of `block` toward miner `receiver` on top of the base
+    /// delay: `0.0` under the uniform model; in graph mode the gossip
+    /// arrival minus `delay`, or `INFINITY` when the block was never
+    /// released or never reaches the receiver.
+    fn extra(&self, block: BlockId, receiver: usize) -> f64 {
+        match &self.graph {
+            Some(net) => net
+                .extras
+                .get(block.index() * self.config.shares.len() + receiver)
+                .copied()
+                .unwrap_or(f64::INFINITY),
+            None => 0.0,
+        }
+    }
+
+    /// Index of miner `miner`'s public frontier in `views` (the shared
+    /// one when there is only one; a run always has at least two miners).
+    fn view_of(&self, miner: MinerId) -> usize {
+        if self.views.len() == 1 {
+            0
+        } else {
+            miner.0 as usize
+        }
+    }
+
+    /// The miner a delivery reaches, and the receiver key of its fault
+    /// coins. Frontier keys live in their own namespace above `2^32`, so
+    /// a strategist's frontier and inbox draw separate coins.
+    fn receiving_miner(&self, to: Receiver) -> (usize, u64) {
+        match to {
+            Receiver::Frontier(v) => (v, (1u64 << 32) + v as u64),
+            Receiver::Inbox(i) => {
+                let m = self.strategists[i].miner.0 as usize;
+                (m, m as u64)
+            }
+        }
+    }
+
+    /// Queue `p` in `to`'s pipeline, in due-time order. Duplicates and
+    /// retries can land out of order; the zero-fault path (every `extra`
+    /// zero, release times monotone) always takes the `push_back` branch,
+    /// preserving the fault-unaware engine's queue order exactly.
+    fn push(&mut self, to: Receiver, p: Pending) {
+        let queue = match to {
+            Receiver::Frontier(v) => &mut self.views[v].pending,
+            Receiver::Inbox(i) => &mut self.strategists[i].inbox,
+        };
+        let pub_time = &self.pub_time;
+        let due = pub_time[p.block.index()] + p.extra;
+        match queue.back() {
+            Some(b) if pub_time[b.block.index()] + b.extra > due => {
+                let at = queue.partition_point(|e| pub_time[e.block.index()] + e.extra <= due);
+                queue.insert(at, p);
+            }
+            _ => queue.push_back(p),
+        }
+    }
+
+    /// First delivery attempt of a just-released block to `to`: the
+    /// receiver's surcharge plus its first reorder jitter draw.
+    fn send(&mut self, to: Receiver, id: BlockId) {
+        let (miner, key) = self.receiving_miner(to);
+        let mut extra = self.extra(id, miner);
+        if !extra.is_finite() {
+            return; // the graph never delivers it to this miner
+        }
+        if self.link_faults {
+            extra += self
+                .config
+                .faults
+                .delivery_jitter(id.index() as u64, key, 0);
+        }
+        let first = Pending {
+            block: id,
+            extra,
+            attempt: 0,
+            dup: false,
+        };
+        self.push(to, first);
+    }
+
+    /// The fault gate every delivery passes when it falls due, for
+    /// frontiers and inboxes alike. A partition separating producer and
+    /// receiver at arrival time, or a lost gossip, re-enqueues the
+    /// delivery with capped exponential backoff plus fresh jitter and
+    /// returns `false`; a duplication coin queues an inert second copy at
+    /// the same due time. Inert copies skip the coins. Returns `true`
+    /// (and counts the delivery) when the receiver processes it.
+    fn admit(&mut self, to: Receiver, p: Pending) -> bool {
+        if p.dup {
+            self.counters.duplicate_deliveries += 1;
+        } else if self.link_faults || self.partition_faults {
+            let (miner, key) = self.receiving_miner(to);
+            let plan = &self.config.faults;
+            let block = p.block.index() as u64;
+            let arrival = self.pub_time[p.block.index()] + self.config.delay + p.extra;
+            let producer = self.tree.block(p.block).miner().0 as usize;
+            let stalled = self.partition_faults && plan.cross_blocked(producer, miner, arrival);
+            if stalled || (self.link_faults && plan.drops(block, key, p.attempt)) {
+                let retry = Pending {
+                    block: p.block,
+                    extra: p.extra
+                        + plan.retry_backoff(p.attempt)
+                        + plan.delivery_jitter(block, key, p.attempt + 1),
+                    attempt: p.attempt + 1,
+                    dup: false,
                 };
-                if !extra.is_finite() {
-                    continue;
-                }
-                if link_faults {
-                    extra += plan.delivery_jitter(block, s.miner.0 as u64, 0);
-                }
-                enqueue(&mut s.inbox, pub_time, Pending::first(id, extra));
+                let kind = if stalled {
+                    self.counters.partition_stalls += 1;
+                    EventKind::FaultStall
+                } else {
+                    self.counters.drops += 1;
+                    EventKind::FaultDrop
+                };
+                record_event(
+                    &self.events,
+                    kind,
+                    miner as u32,
+                    block,
+                    u64::from(p.attempt),
+                );
+                self.counters.regossip_attempts += 1;
+                self.push(to, retry);
+                return false;
+            }
+            if self.link_faults && plan.duplicates(block, key, p.attempt) {
+                record_event(
+                    &self.events,
+                    EventKind::FaultDuplicate,
+                    miner as u32,
+                    block,
+                    u64::from(p.attempt),
+                );
+                self.push(to, Pending { dup: true, ..p });
             }
         }
+        self.counters.deliveries += 1;
+        true
     }
 
     /// Graph-mode half of [`DelaySimulation::release`]: run the gossip
@@ -1101,7 +1140,7 @@ impl DelaySimulation {
         }
     }
 
-    /// Promote fully propagated blocks into the shared honest frontier,
+    /// Promote fully propagated blocks into the public frontiers,
     /// tracking races at the frontier height: strategic-vs-honest ties
     /// (split by `tie_gamma`) and — with several concurrent strategists —
     /// ties between two *rival* strategists' tips (split evenly, since the
@@ -1114,89 +1153,18 @@ impl DelaySimulation {
         }
     }
 
-    /// Drain view `v`'s pipeline up to the propagation horizon, running
-    /// each non-duplicate delivery through the fault pipeline first: a
-    /// partition stall or a lost gossip re-enqueues the entry with capped
-    /// exponential backoff (plus fresh jitter); a duplication coin adds an
-    /// inert second copy at the same due time.
+    /// Drain frontier `v`'s pipeline up to the propagation horizon,
+    /// running each delivery through the fault gate first.
     fn promote_view(&mut self, v: usize, horizon: f64) {
         while let Some(&p) = self.views[v].pending.front() {
             if self.pub_time[p.block.index()] + p.extra > horizon {
                 break;
             }
             self.views[v].pending.pop_front();
+            if !self.admit(Receiver::Frontier(v), p) {
+                continue;
+            }
             let front = p.block;
-            if p.dup {
-                self.counters.duplicate_deliveries += 1;
-            }
-            if !p.dup && (self.link_faults || self.partition_faults) {
-                let plan = &self.config.faults;
-                let block = front.index() as u64;
-                let receiver = view_receiver(v);
-                // The view's group hears the block when it finishes
-                // propagating; a partition active *then* that uses this
-                // group but assigns the producer elsewhere stalls it.
-                let arrival = self.pub_time[front.index()] + self.config.delay + p.extra;
-                let producer = self.tree.block(front).miner().0 as usize;
-                // Graph mode: views are per-miner, so a partition stalls
-                // the delivery exactly when it cuts producer from the
-                // view's miner — the graph-cut reading of the same timed
-                // group vectors.
-                let stalled = self.partition_faults
-                    && if self.graph.is_some() {
-                        plan.cross_blocked(producer, v, arrival)
-                    } else {
-                        plan.active_partition(arrival)
-                            .is_some_and(|part| part.uses_group(v) && part.groups[producer] != v)
-                    };
-                if stalled || (self.link_faults && plan.drops(block, receiver, p.attempt)) {
-                    let retry = Pending {
-                        block: front,
-                        extra: p.extra
-                            + plan.retry_backoff(p.attempt)
-                            + plan.delivery_jitter(block, receiver, p.attempt + 1),
-                        attempt: p.attempt + 1,
-                        dup: false,
-                    };
-                    if stalled {
-                        self.counters.partition_stalls += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultStall,
-                            v as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    } else {
-                        self.counters.drops += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultDrop,
-                            v as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    }
-                    self.counters.regossip_attempts += 1;
-                    enqueue(&mut self.views[v].pending, &self.pub_time, retry);
-                    continue;
-                }
-                if self.link_faults && plan.duplicates(block, receiver, p.attempt) {
-                    record_event(
-                        &self.events,
-                        EventKind::FaultDuplicate,
-                        v as u32,
-                        block,
-                        u64::from(p.attempt),
-                    );
-                    enqueue(
-                        &mut self.views[v].pending,
-                        &self.pub_time,
-                        Pending { dup: true, ..p },
-                    );
-                }
-            }
-            self.counters.deliveries += 1;
             let h = self.tree.height(front);
             let best = self.views[v].best;
             let best_h = self.tree.height(best);
@@ -1274,64 +1242,9 @@ impl DelaySimulation {
                 );
                 continue;
             }
-            if p.dup {
-                self.counters.duplicate_deliveries += 1;
+            if !self.admit(Receiver::Inbox(chosen), p) {
+                continue;
             }
-            if !p.dup && (self.link_faults || self.partition_faults) {
-                let plan = &self.config.faults;
-                let block = p.block.index() as u64;
-                let receiver = self.strategists[chosen].miner.0 as u64;
-                let producer = self.tree.block(p.block).miner().0 as usize;
-                let stalled =
-                    self.partition_faults && plan.cross_blocked(producer, receiver as usize, t);
-                if stalled || (self.link_faults && plan.drops(block, receiver, p.attempt)) {
-                    let retry = Pending {
-                        block: p.block,
-                        extra: p.extra
-                            + plan.retry_backoff(p.attempt)
-                            + plan.delivery_jitter(block, receiver, p.attempt + 1),
-                        attempt: p.attempt + 1,
-                        dup: false,
-                    };
-                    if stalled {
-                        self.counters.partition_stalls += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultStall,
-                            receiver as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    } else {
-                        self.counters.drops += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultDrop,
-                            receiver as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    }
-                    self.counters.regossip_attempts += 1;
-                    enqueue(&mut self.strategists[chosen].inbox, &self.pub_time, retry);
-                    continue;
-                }
-                if self.link_faults && plan.duplicates(block, receiver, p.attempt) {
-                    record_event(
-                        &self.events,
-                        EventKind::FaultDuplicate,
-                        receiver as u32,
-                        block,
-                        u64::from(p.attempt),
-                    );
-                    enqueue(
-                        &mut self.strategists[chosen].inbox,
-                        &self.pub_time,
-                        Pending { dup: true, ..p },
-                    );
-                }
-            }
-            self.counters.deliveries += 1;
             self.hear(chosen, p.block, t);
         }
     }
@@ -1357,7 +1270,7 @@ impl DelaySimulation {
     }
 
     /// A recovering strategist rejoins the network the way a restarted
-    /// node does: it syncs to the public tip its group currently sees and
+    /// node does: it syncs to the tip of its public frontier and
     /// concedes whatever private fork it held before the crash — the
     /// forced-adopt path, identical to losing an epoch.
     fn resync_strategist(&mut self, i: usize, t: f64) {
@@ -1369,15 +1282,7 @@ impl DelaySimulation {
             0,
             t.to_bits(),
         );
-        let m = self.strategists[i].miner.0 as usize;
-        let g = if self.graph.is_some() {
-            m // per-miner views in graph mode
-        } else if self.partition_faults {
-            self.config.faults.group_of(m, t)
-        } else {
-            0
-        };
-        let tip = self.views[g].best;
+        let tip = self.views[self.view_of(self.strategists[i].miner)].best;
         let Self {
             tree, strategists, ..
         } = self;
@@ -1594,18 +1499,10 @@ impl DelaySimulation {
     /// An honest miner mines on the best tip it can see and releases the
     /// block immediately.
     fn honest_mines(&mut self, miner: MinerId) {
-        // The miner's public frontier (its partition group's view; the
-        // shared view 0 outside partitions), with a live race:
+        // The miner's public frontier, with a live race:
         // strategic-vs-honest ties split by tie_gamma, rival-strategist
         // ties split evenly...
-        let g = if self.graph.is_some() {
-            miner.0 as usize // the miner's own frontier in graph mode
-        } else if self.partition_faults {
-            self.config.faults.group_of(miner.0 as usize, self.now)
-        } else {
-            0
-        };
-        let view = &self.views[g];
+        let view = &self.views[self.view_of(miner)];
         let mut tip = view.best;
         if let Some(contender) = view.race {
             let incumbent_strategic = self.is_strategic_block(view.best);
@@ -1633,7 +1530,7 @@ impl DelaySimulation {
         }
         // ...plus any block the miner produced itself that is still
         // propagating.
-        for p in &self.views[g].pending {
+        for p in &view.pending {
             let b = p.block;
             if self.tree.block(b).miner() == miner && self.tree.height(b) > self.tree.height(tip) {
                 tip = b;
@@ -1651,26 +1548,19 @@ impl DelaySimulation {
     /// branch leaves plain stales, exactly like the engine.
     fn mint(&mut self, parent: BlockId, miner: MinerId) -> BlockId {
         let horizon = self.now - self.config.delay;
+        let m = miner.0 as usize;
+        let mut refs = std::mem::take(&mut self.uncle_refs);
         let visible = |u: BlockId| {
             let released = self.pub_time[u.index()] < f64::INFINITY;
-            // Graph mode: visibility is per-pair — the block must have
-            // finished its graph path *to this miner* by the horizon. The
-            // uniform expression is untouched (the complete/uniform
-            // surcharge is exactly 0.0, but keeping the original
-            // comparison makes the bit-identity claim local to this line).
-            let heard = match &self.graph {
-                Some(net) => {
-                    self.pub_time[u.index()]
-                        + net.extra(u.index(), self.config.shares.len(), miner.0 as usize)
-                        <= horizon
-                }
-                None => self.pub_time[u.index()] <= horizon,
-            };
+            // Visibility is per pair: the block must have reached this
+            // miner by the horizon (the uniform surcharge is exactly 0.0,
+            // and `x + 0.0` is bitwise `x`).
+            let heard = self.pub_time[u.index()] + self.extra(u, m) <= horizon;
             let propagated = heard
                 && (!self.partition_faults
                     || !self.config.faults.cross_blocked(
                         self.tree.block(u).miner().0 as usize,
-                        miner.0 as usize,
+                        m,
                         self.now,
                     ));
             propagated || (released && self.tree.block(u).miner() == miner)
@@ -1680,12 +1570,13 @@ impl DelaySimulation {
             parent,
             &self.config.schedule,
             visible,
-            &mut self.uncle_refs,
+            &mut refs,
         );
         let id = self
             .tree
-            .add_block(parent, miner, &self.uncle_refs)
+            .add_block(parent, miner, &refs)
             .expect("engine-created ids");
+        self.uncle_refs = refs;
         record_event(
             &self.events,
             EventKind::Mine,
@@ -2751,7 +2642,7 @@ mod tests {
     fn graph_mode_composes_with_partition_cuts() {
         // A two-cluster graph plus a timed partition over the matching
         // groups: during the window cross-cluster deliveries stall and
-        // re-enqueue, exactly like the uniform engine's group partitions.
+        // re-enqueue, exactly like the uniform engine's partitions.
         let plan = FaultPlan::builder()
             .partition(10_000.0, 14_000.0, vec![0, 0, 1, 1])
             .seed(5)

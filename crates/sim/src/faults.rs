@@ -11,27 +11,30 @@
 //!
 //! - **Determinism.** Every fault decision is a pure function of the
 //!   plan's own seed and the identity of the event it applies to (block,
-//!   receiver, delivery attempt), computed with dedicated splitmix64
-//!   streams and per-miner ChaCha churn generators. The simulator's main
-//!   RNG is never consulted, so a given `(config, plan)` pair yields a
-//!   bit-identical schedule wherever and however parallel the run is.
+//!   receiver, delivery attempt), computed with `seleth_net`'s
+//!   counter-based splitmix64 chain (the same one the peer graph's
+//!   per-edge draws use) and per-miner ChaCha churn generators. The
+//!   simulator's main RNG is never consulted, so a given `(config, plan)`
+//!   pair yields a bit-identical schedule wherever and however parallel
+//!   the run is.
 //! - **Zero-fault transparency.** [`FaultPlan::none`] injects nothing and
 //!   adds exactly `0.0` to every delivery time; because `x + 0.0` is
 //!   bitwise `x` for every finite release timestamp, a zero-fault run
 //!   reproduces the fault-unaware engine byte for byte (regression-tested
 //!   in `tests/chaos_study.rs`).
 //!
-//! Failed deliveries are re-gossiped with capped exponential backoff in
-//! simulation time; crashed strategists resynchronize through the
-//! existing forced-adopt path when they rejoin (see
-//! [`crate::delay`]). This module is also the substrate the ROADMAP's
-//! topology-aware propagation item builds on: a topology is, to first
-//! order, a per-link delay/loss matrix — exactly the shape of data a
-//! `FaultPlan` already carries per link.
+//! Every receiving miner draws its own coins: a lost or stalled delivery
+//! is lost or stalled for that miner alone and is re-gossiped to it with
+//! capped exponential backoff in simulation time. A partition is a timed
+//! cut between miner groups, applied per (producer, receiver) pair, so
+//! group labels carry no meaning beyond which miners share a side.
+//! Crashed strategists resynchronize through the existing forced-adopt
+//! path when they rejoin (see [`crate::delay`]).
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+use seleth_net::{hash, unit};
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimError;
@@ -78,15 +81,9 @@ pub struct Partition {
     /// Heal time (exclusive); `INFINITY` = never heals.
     pub end: f64,
     /// Group id per miner (one entry per miner). Miners in the same group
-    /// keep hearing each other; cross-group deliveries stall.
+    /// keep hearing each other; cross-group deliveries stall. Only
+    /// equality of ids matters: relabelling the groups changes nothing.
     pub groups: Vec<usize>,
-}
-
-impl Partition {
-    /// `true` if any miner is assigned to group `g` by this partition.
-    pub(crate) fn uses_group(&self, g: usize) -> bool {
-        self.groups.contains(&g)
-    }
 }
 
 /// A complete, seeded fault schedule for one delay run.
@@ -312,17 +309,6 @@ impl FaultPlan {
         !self.partitions.is_empty()
     }
 
-    /// Number of public frontier views the engine must maintain: one per
-    /// partition group id in use, and always at least the shared view 0.
-    pub(crate) fn view_count(&self) -> usize {
-        1 + self
-            .partitions
-            .iter()
-            .flat_map(|p| p.groups.iter().copied())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The partition active at time `t`, if any.
     pub(crate) fn active_partition(&self, t: f64) -> Option<&Partition> {
         let i = self.partitions.partition_point(|p| p.start <= t);
@@ -331,12 +317,6 @@ impl FaultPlan {
         }
         let p = &self.partitions[i - 1];
         (t < p.end).then_some(p)
-    }
-
-    /// The partition group miner `m` belongs to at time `t` (group 0 —
-    /// the shared network — outside every partition window).
-    pub(crate) fn group_of(&self, m: usize, t: f64) -> usize {
-        self.active_partition(t).map_or(0, |p| p.groups[m])
     }
 
     /// `true` if a message from `from` to `to` is stalled by an active
@@ -348,8 +328,8 @@ impl FaultPlan {
 
     /// Loss coin for one delivery attempt.
     pub(crate) fn drops(&self, block: u64, receiver: u64, attempt: u32) -> bool {
-        let base =
-            self.loss > 0.0 && unit(self.hash(STREAM_LOSS, block, receiver, attempt)) < self.loss;
+        let base = self.loss > 0.0
+            && unit(hash(self.seed, STREAM_LOSS, block, receiver, attempt)) < self.loss;
         if self.flip_drop_block == Some(block) {
             return !base;
         }
@@ -359,7 +339,7 @@ impl FaultPlan {
     /// Duplication coin for one successful delivery.
     pub(crate) fn duplicates(&self, block: u64, receiver: u64, attempt: u32) -> bool {
         self.duplication > 0.0
-            && unit(self.hash(STREAM_DUP, block, receiver, attempt)) < self.duplication
+            && unit(hash(self.seed, STREAM_DUP, block, receiver, attempt)) < self.duplication
     }
 
     /// Reorder jitter for one delivery attempt: `Uniform[0, jitter)`,
@@ -368,22 +348,13 @@ impl FaultPlan {
         if self.jitter == 0.0 {
             return 0.0;
         }
-        unit(self.hash(STREAM_JITTER, block, receiver, attempt)) * self.jitter
+        unit(hash(self.seed, STREAM_JITTER, block, receiver, attempt)) * self.jitter
     }
 
     /// Re-gossip delay before retry `attempt` (capped exponential).
     pub(crate) fn retry_backoff(&self, attempt: u32) -> f64 {
         let exp = attempt.min(63) as i32;
         (self.backoff_base * 2f64.powi(exp)).min(self.backoff_cap)
-    }
-
-    /// One splitmix64 chain over `(plan seed, stream, block, receiver,
-    /// attempt)` — the entire per-link randomness of the plan.
-    fn hash(&self, stream: u64, block: u64, receiver: u64, attempt: u32) -> u64 {
-        let mut h = splitmix64(self.seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        h = splitmix64(h ^ block);
-        h = splitmix64(h ^ receiver);
-        splitmix64(h ^ attempt as u64)
     }
 
     fn validate_numeric(&self) -> Result<(), SimError> {
@@ -479,19 +450,6 @@ impl FaultPlan {
     }
 }
 
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Map a hash to `[0, 1)` with the standard 53-bit mantissa trick.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// The lazily generated crash schedule of one run: per miner, the merged
 /// view of explicit downtime windows and churn-generated ones. Windows
 /// are extended on demand as queries advance, from per-miner ChaCha
@@ -555,7 +513,8 @@ impl CrashTimeline {
                     .collect();
                 explicit.sort_by(|a, b| a.0.total_cmp(&b.0));
                 let churn = plan.churn.map(|c| {
-                    let rng = ChaCha12Rng::seed_from_u64(plan.hash(STREAM_CHURN, m as u64, 0, 0));
+                    let rng =
+                        ChaCha12Rng::seed_from_u64(hash(plan.seed, STREAM_CHURN, m as u64, 0, 0));
                     let mut g = ChurnGen {
                         rng,
                         mean_uptime: c.mean_uptime,
@@ -602,7 +561,6 @@ mod tests {
         let p = FaultPlan::none();
         assert_eq!(p, FaultPlan::default());
         assert!(!p.has_link_faults() && !p.has_crashes() && !p.has_partitions());
-        assert_eq!(p.view_count(), 1);
         assert_eq!(p.delivery_jitter(1, 2, 3), 0.0);
         assert!(!p.drops(1, 2, 3) && !p.duplicates(1, 2, 3));
         assert!(!p.cross_blocked(0, 1, 10.0));
@@ -641,7 +599,6 @@ mod tests {
             .build()
             .expect("valid plan");
         assert!(ok.has_link_faults() && ok.has_crashes() && ok.has_partitions());
-        assert_eq!(ok.view_count(), 2);
     }
 
     #[test]
@@ -707,12 +664,10 @@ mod tests {
             .build()
             .unwrap();
         assert!(p.active_partition(5.0).is_none());
-        assert_eq!(p.group_of(1, 15.0), 1);
-        assert_eq!(p.group_of(1, 25.0), 0, "healed between windows");
         assert!(p.cross_blocked(0, 1, 15.0));
+        assert!(!p.cross_blocked(0, 1, 25.0), "healed between windows");
         assert!(!p.cross_blocked(0, 2, 15.0));
         assert!(p.cross_blocked(0, 2, 1e12), "the second split never heals");
-        assert_eq!(p.view_count(), 2);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! 1. *Graceful degradation*: any valid [`FaultPlan`] — random loss,
 //!    duplication, jitter, churn, downtime and partition parameters —
 //!    runs to completion without panicking, conserves revenue shares,
-//!    and never mints more blocks than the event budget allows.
+//!    never mints more blocks than the event budget allows, and pays
+//!    every miner exactly what the equivalent complete graph pays.
+//!    Partition group ids are mere labels: swapping them changes no bit.
 //! 2. *Determinism*: a faulty run is a pure function of `(sim seed,
 //!    fault seed)` — bit-identical when replayed, and bit-identical
 //!    across `par_map` thread counts (fault coins are counter-hashed,
@@ -14,7 +16,9 @@
 //! 3. *Zero-fault identity*: an explicit [`FaultPlan::none`] reproduces
 //!    the fault-unaware delay engine **bit for bit**. The hex constants
 //!    below were captured from the engine before the fault layer
-//!    existed; any drift in the zero-fault path fails loudly.
+//!    existed; any drift in the zero-fault path fails loudly. A plan
+//!    whose only partition opens after the run ends must land on the
+//!    same constants through per-miner frontiers.
 //!
 //! Plus the committed-artifact gate: `results/chaos_study.json` must be
 //! coherent and its gated anchor cell must reproduce the artifact's ρ*.
@@ -132,6 +136,128 @@ fn zero_fault_plan_reproduces_the_delay_engine_bit_for_bit() {
     assert_eq!(r.miner(0).total().to_bits(), 0x40b8409800000000);
 }
 
+/// The per-miner frontier path on a zero-effect plan: a partition that
+/// opens only after the run has ended gives every miner its own frontier
+/// (instead of the one shared frontier of fault-free uniform runs) but
+/// never stalls a delivery, so the run must land on the same hex anchors
+/// as the zero-fault plan above.
+#[test]
+fn per_miner_frontiers_reproduce_the_zero_fault_anchors() {
+    let late = |miners: usize| {
+        let groups = (0..miners).map(|m| m % 2).collect();
+        FaultPlan::builder()
+            .partition(1e12, f64::INFINITY, groups)
+            .build()
+            .expect("valid plan")
+    };
+    let mut honest_eth = DelayConfig::builder();
+    honest_eth
+        .shares(vec![0.25; 4])
+        .delay(6.0)
+        .blocks(40_000)
+        .seed(2)
+        .schedule(RewardSchedule::ethereum());
+    let shared = DelaySimulation::new(honest_eth.build().expect("valid config")).run();
+    let r = DelaySimulation::new(honest_eth.faults(late(4)).build().expect("valid config")).run();
+    assert_eq!(r.report.total_reward().to_bits(), 0x40e2decf00000000);
+    assert_eq!(r.miner(0).total().to_bits(), 0x40c2e9f400000000);
+    assert_eq!(
+        r.counters.deliveries,
+        4 * shared.counters.deliveries,
+        "each of the four frontiers hears every block the shared one hears"
+    );
+    assert_eq!(r.counters.partition_stalls, 0);
+
+    let sm1_btc = DelayConfig::builder()
+        .shares(vec![0.35, 0.65])
+        .policy(0, sm1(0.35, 0.5, 12))
+        .tie_gamma(0.5)
+        .delay(2.0)
+        .blocks(30_000)
+        .seed(17)
+        .schedule(RewardSchedule::bitcoin())
+        .faults(late(2))
+        .build()
+        .expect("valid config");
+    let r = DelaySimulation::new(sm1_btc).run();
+    assert_eq!(r.report.total_reward().to_bits(), 0x40d5848000000000);
+    assert_eq!(r.miner(0).total().to_bits(), 0x40bd900000000000);
+
+    let duo_btc = DelayConfig::builder()
+        .shares(vec![0.3, 0.3, 0.4])
+        .policy(0, sm1(0.3, 0.5, 12))
+        .policy(1, sm1(0.3, 0.5, 12))
+        .tie_gamma(0.5)
+        .delay(2.0)
+        .blocks(30_000)
+        .seed(17)
+        .schedule(RewardSchedule::bitcoin())
+        .faults(late(3))
+        .build()
+        .expect("valid config");
+    let r = DelaySimulation::new(duo_btc).run();
+    assert_eq!(r.report.total_reward().to_bits(), 0x40ce9e8000000000);
+    assert_eq!(r.miner(0).total().to_bits(), 0x40b2e70000000000);
+    assert_eq!(r.miner(1).total().to_bits(), 0x40b2840000000000);
+
+    let sm1_eth = DelayConfig::builder()
+        .shares(vec![0.4, 0.6])
+        .policy(0, sm1(0.4, 0.0, 14))
+        .tie_gamma(0.0)
+        .delay(4.0)
+        .blocks(25_000)
+        .seed(41)
+        .schedule(RewardSchedule::ethereum())
+        .faults(late(2))
+        .build()
+        .expect("valid config");
+    let r = DelaySimulation::new(sm1_eth).run();
+    assert_eq!(r.report.total_reward().to_bits(), 0x40d3181a00000000);
+    assert_eq!(r.miner(0).total().to_bits(), 0x40b8409800000000);
+}
+
+/// Partition group ids are labels: only which miners share a side
+/// matters. Swapping the labels of a repeating two-group split must
+/// leave every miner's reward bit-identical.
+#[test]
+fn partition_group_labels_are_arbitrary() {
+    let run = |groups: Vec<usize>| {
+        let mut plan = FaultPlan::builder();
+        plan.seed(5);
+        for w in 0..5 {
+            let start = 20_000.0 + 50_000.0 * f64::from(w);
+            plan.partition(start, start + 4_000.0, groups.clone());
+        }
+        let config = DelayConfig::builder()
+            .shares(vec![0.3, 0.25, 0.25, 0.2])
+            .policy(0, sm1(0.3, 0.5, 12))
+            .tie_gamma(0.5)
+            .delay(4.0)
+            .blocks(20_000)
+            .seed(33)
+            .schedule(RewardSchedule::ethereum())
+            .faults(plan.build().expect("valid plan"))
+            .build()
+            .expect("valid config");
+        DelaySimulation::new(config).run()
+    };
+    let a = run(vec![0, 0, 1, 1]);
+    let b = run(vec![1, 1, 0, 0]);
+    assert!(a.counters.partition_stalls > 0, "the windows must bite");
+    assert_eq!(a.counters.partition_heals, 5);
+    for i in 0..4 {
+        assert_eq!(
+            a.miner(i).total().to_bits(),
+            b.miner(i).total().to_bits(),
+            "miner {i}"
+        );
+    }
+    assert_eq!(
+        a.report.total_reward().to_bits(),
+        b.report.total_reward().to_bits()
+    );
+}
+
 // ---------------------------------------------------------------------
 // 2. Determinism across thread counts
 // ---------------------------------------------------------------------
@@ -210,6 +336,9 @@ proptest! {
     /// Random-but-valid fault plans: the run must complete, pay only
     /// finite non-negative rewards, conserve revenue shares, and never
     /// exceed the block budget (faults delay and destroy, never mint).
+    /// The uniform model must also pay exactly what the complete graph
+    /// at the same latency pays: both deliver through per-miner
+    /// frontiers with zero surcharge.
     #[test]
     fn random_fault_plans_degrade_gracefully(
         sim_seed in any::<u64>(),
@@ -246,7 +375,8 @@ proptest! {
         let faults = builder.build().expect("generated plans are valid");
 
         let blocks = 2_000u64;
-        let config = DelayConfig::builder()
+        let mut builder = DelayConfig::builder();
+        builder
             .shares(vec![0.3, 0.3, 0.4])
             .policy(0, sm1(0.3, 0.5, 12))
             .tie_gamma(0.5)
@@ -254,9 +384,8 @@ proptest! {
             .blocks(blocks)
             .seed(sim_seed)
             .schedule(RewardSchedule::ethereum())
-            .faults(faults)
-            .build()
-            .expect("valid config");
+            .faults(faults);
+        let config = builder.build().expect("valid config");
         let r = DelaySimulation::new(config.clone()).run();
 
         // Crashes thin the block supply but never add to it.
@@ -286,6 +415,20 @@ proptest! {
             total.to_bits(),
             "faulty runs must replay bit-identically"
         );
+
+        let graph = builder
+            .topology(Topology::complete(3, 3.0).expect("valid topology"))
+            .build()
+            .expect("valid config");
+        let graph = DelaySimulation::new(graph).run();
+        for i in 0..3 {
+            prop_assert_eq!(
+                graph.miner(i).total().to_bits(),
+                r.miner(i).total().to_bits(),
+                "uniform must equal the complete graph for miner {}",
+                i
+            );
+        }
     }
 }
 

@@ -135,11 +135,9 @@ fn complete_graph_reproduces_the_delay_engine_bit_for_bit() {
 // ---------------------------------------------------------------------
 
 /// A PR 6 group partition ({0,1} vs {2,3}, one timed window) on the
-/// uniform engine, against the same plan driving per-miner graph cuts on
-/// the equivalent complete graph. The cut blocks exactly the deliveries
-/// the group split blocks and retries them on the same frontier, so the
-/// rewards must agree bit for bit even though the graph engine tracks
-/// one view per miner instead of one per group.
+/// uniform engine, against the same plan on the equivalent complete
+/// graph. Both models cut the same (producer, receiver) pairs on the
+/// same per-miner frontiers, so the rewards must agree bit for bit.
 #[test]
 fn graph_cut_partition_replays_the_group_partition_bit_for_bit() {
     let run = |topo: Option<Topology>| {
