@@ -4,6 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# No CI step or test may write committed results: every bin run below
+# sends its output to a scratch dir. Snapshot results/ now (content hash
+# of every tracked file, plus the untracked non-ignored files) and
+# compare at the end.
+results_state() {
+    git ls-files -z -- results | xargs -0 -r sha256sum 2>&1 || true
+    echo "-- untracked --"
+    git ls-files --others --exclude-standard -- results
+}
+RESULTS_BEFORE="$(results_state)"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -103,12 +114,12 @@ test -s "$CHAOS_SCRATCH/chaos_trace.jsonl"
 SELETH_RESULTS=results \
     cargo run --release -q -p seleth-bench --bin perf_report > /dev/null
 
-echo "==> perf_trend regression gate (smoke: first-run ledger tolerated)"
-# Compares the latest BENCH_history.jsonl row per bench bin against the
-# most recent earlier row from a comparable host and fails on
-# noise-banded regressions; --smoke passes when the ledger is still
-# seeding (absent or fewer than two comparable rows).
-SELETH_RESULTS=results \
-    cargo run --release -q -p seleth-bench --bin perf_report -- --trend --smoke
+echo "==> results/ left as CI found it"
+RESULTS_AFTER="$(results_state)"
+if [ "$RESULTS_AFTER" != "$RESULTS_BEFORE" ]; then
+    echo "FAIL: a CI step changed results/:" >&2
+    diff <(echo "$RESULTS_BEFORE") <(echo "$RESULTS_AFTER") >&2 || true
+    exit 1
+fi
 
 echo "CI OK"

@@ -1,6 +1,7 @@
-//! Gossip-layer performance tracker: times the `seleth-net` propagation
-//! hot paths and writes `BENCH_net.json` into the results directory —
-//! the network-side counterpart of `BENCH_sim.json`.
+//! Gossip-layer contract gates: times the `seleth-net` propagation hot
+//! paths, gates graph mode against the uniform engine below, and writes
+//! `BENCH_net.json` into the results directory — the network-side
+//! counterpart of `BENCH_sim.json`.
 //!
 //! Measured (wall-clock, best of `SELETH_BENCH_REPS` repetitions,
 //! default 3):
@@ -20,9 +21,6 @@
 //!   (exit code 1 otherwise) — the static-plan row copy plus per-view
 //!   queues may cost, but not an order of magnitude.
 //!
-//! Every run appends one snapshot row (git sha, host, headline metrics)
-//! to `BENCH_history.jsonl`, the ledger behind `perf_report --trend`.
-//!
 //! Usage: `cargo run --release -p seleth-bench --bin bench_net`.
 
 use std::fmt::Write as _;
@@ -39,9 +37,9 @@ fn main() {
     let trace = TraceLog::new();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let reps = usize::try_from(seleth_bench::env_u64("SELETH_BENCH_REPS", 3)).unwrap_or(3);
-    let calls = seleth_bench::env_u64("SELETH_BENCH_CALLS", 200_000);
-    let blocks = seleth_bench::env_u64("SELETH_BENCH_BLOCKS", 200_000);
+    let reps: usize = seleth_bench::env_knob("SELETH_BENCH_REPS", 3);
+    let calls: u64 = seleth_bench::env_knob("SELETH_BENCH_CALLS", 200_000);
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BENCH_BLOCKS", 200_000);
     const MINERS: usize = 16;
 
     // --- Static hot path: cached all-pairs row per release ---
@@ -183,16 +181,6 @@ fn main() {
     let path = dir.join("BENCH_net.json");
     std::fs::write(&path, json).expect("write BENCH_net.json");
     println!("wrote {}", path.display());
-    let ledger = seleth_bench::append_history_row(
-        "bench_net",
-        &[
-            ("static_propagate_per_sec", static_rate),
-            ("dynamic_propagate_per_sec", dynamic_rate),
-            ("graph_sim_blocks_per_sec", graph_rate),
-            ("graph_vs_uniform_ratio", graph_ratio),
-        ],
-    );
-    println!("appended history row to {}", ledger.display());
     write_trace(&trace, trace_path.as_ref());
 
     // The gossip layer's overhead on the bit-identical workload: the

@@ -1,6 +1,8 @@
-//! Simulator performance tracker: times the Monte-Carlo engine and writes
-//! `BENCH_sim.json` into the results directory — the sim-side counterpart
-//! of `BENCH_solver.json`, recording the throughput trajectory PR over PR.
+//! Simulator contract gates: times the Monte-Carlo engine, gates the
+//! playback and recorder overheads below, and writes `BENCH_sim.json`
+//! into the results directory — the sim-side counterpart of
+//! `BENCH_solver.json`. The repository's benchmark is the separate
+//! `perfbench` package; this bin holds the fixed speed contracts.
 //!
 //! Measured (wall-clock, best of `SELETH_BENCH_REPS` repetitions,
 //! default 3):
@@ -41,9 +43,7 @@
 //! The JSON carries the shared `"host"` fingerprint block and ends with a
 //! `"telemetry"` block (phases, merged worker shards, deterministic
 //! scheduler counters); `--trace <path>` dumps per-run span events as
-//! JSON lines. Every run also appends one snapshot row (git sha, host,
-//! headline metrics) to `BENCH_history.jsonl` — the ledger behind
-//! `perf_report --trend`.
+//! JSON lines.
 //!
 //! Usage: `cargo run --release -p seleth-bench --bin bench_sim`.
 
@@ -93,9 +93,9 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let reps = usize::try_from(seleth_bench::env_u64("SELETH_BENCH_REPS", 3)).unwrap_or(3);
-    let blocks = seleth_bench::env_u64("SELETH_BENCH_BLOCKS", 200_000);
-    let runs = seleth_bench::env_u64("SELETH_BENCH_RUNS", 16);
+    let reps: usize = seleth_bench::env_knob("SELETH_BENCH_REPS", 3);
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BENCH_BLOCKS", 200_000);
+    let runs: u64 = seleth_bench::env_knob("SELETH_BENCH_RUNS", 16);
 
     let base = SimConfig::builder()
         .alpha(0.35)
@@ -309,11 +309,11 @@ fn main() {
             .map(|(_, s, _)| *s)
             .fold(f64::INFINITY, f64::min);
     // The speedup number only measures the scheduler when the host can
-    // actually run workers concurrently. On a single-core host (the
-    // current CI box) every worker time-slices one CPU, ≈1.0x is the
-    // *expected* healthy reading, and the field must not be misread as a
-    // scheduler regression — so it is annotated with a validity flag tied
-    // to the recorded `host.available_parallelism` gauge.
+    // actually run workers concurrently. On a single-core host every
+    // worker time-slices one CPU, ≈1.0x is the *expected* healthy
+    // reading, and the field must not be misread as a scheduler
+    // regression — so it is annotated with a validity flag tied to the
+    // recorded `host.available_parallelism` gauge.
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup_valid = host_parallelism > 1;
     if speedup_valid {
@@ -372,19 +372,6 @@ fn main() {
     let path = dir.join("BENCH_sim.json");
     std::fs::write(&path, json).expect("write BENCH_sim.json");
     println!("wrote {}", path.display());
-    let ledger = seleth_bench::append_history_row(
-        "bench_sim",
-        &[
-            ("single_run_blocks_per_sec", single_rate),
-            ("capped_run_blocks_per_sec", capped_rate),
-            ("bitcoin_run_blocks_per_sec", bitcoin_rate),
-            ("policy_run_blocks_per_sec", policy_rate),
-            ("policy4_run_blocks_per_sec", policy4_rate),
-            ("noop_overhead_ratio", noop_ratio),
-            ("recorder_disabled_ratio", recorder_disabled_ratio),
-        ],
-    );
-    println!("appended history row to {}", ledger.display());
     write_trace(&trace, trace_path.as_ref());
 
     // The four-axis lookup is the only new cost on the playback hot path;

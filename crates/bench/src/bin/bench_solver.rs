@@ -1,6 +1,7 @@
-//! Solver performance tracker: times the hot numeric kernels and writes
-//! `BENCH_solver.json` into the results directory so the perf trajectory
-//! is recorded PR over PR.
+//! Solver contract gate: times the hot numeric kernels, gates the MDP
+//! expansion-reuse speed-up below, and writes `BENCH_solver.json` into
+//! the results directory. The repository's benchmark is the separate
+//! `perfbench` package; this bin holds the fixed speed contract.
 //!
 //! Measured (all wall-clock, best of `SELETH_BENCH_REPS` repetitions,
 //! default 3):
@@ -31,9 +32,7 @@
 //! `"telemetry"` block carrying the Dinkelbach solver's instrumentation
 //! (bisection count, sweeps per ρ iterate, warm-start hit rate, final
 //! residual); `--trace <path>` dumps one span per benchmark section as
-//! JSON lines. Every run also appends one snapshot row (git sha, host,
-//! headline metrics) to `BENCH_history.jsonl` — the ledger behind
-//! `perf_report --trend`.
+//! JSON lines.
 //!
 //! Usage: `cargo run --release -p seleth-bench --bin bench_solver`.
 //! Set `SELETH_MDP_LEN` to override the MDP truncation (the default of 60
@@ -60,14 +59,11 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let reps: usize = std::env::var("SELETH_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let mdp_len: u32 = std::env::var("SELETH_MDP_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| MdpConfig::new(0.35, 0.5, RewardModel::Bitcoin).max_len);
+    let reps: usize = seleth_bench::env_knob("SELETH_BENCH_REPS", 3);
+    let mdp_len: u32 = seleth_bench::env_knob(
+        "SELETH_MDP_LEN",
+        MdpConfig::new(0.35, 0.5, RewardModel::Bitcoin).max_len,
+    );
 
     // --- CSR SpMV on the paper's chain at truncation 200 ---
     let params = ModelParams::with_truncation(0.4, 0.5, RewardSchedule::ethereum(), 200)
@@ -294,20 +290,6 @@ fn main() {
     let path = dir.join("BENCH_solver.json");
     std::fs::write(&path, json).expect("write BENCH_solver.json");
     println!("wrote {}", path.display());
-    let ledger = seleth_bench::append_history_row(
-        "bench_solver",
-        &[
-            ("csr_spmv_ns", csr_spmv_ns),
-            ("stationary_solve_ms", stationary_s * 1e3),
-            ("stationary_gauss_seidel_t80_ms", gauss_seidel_s * 1e3),
-            ("stationary_power_t80_ms", power_s * 1e3),
-            ("pi_closed_form_grid_ns", pi_grid_ns),
-            ("table2_distance_ns", distance_ns),
-            ("mdp_solve_ms", fast_s * 1e3),
-            ("mdp_expansion_reuse_speedup", speedup),
-        ],
-    );
-    println!("appended history row to {}", ledger.display());
     write_trace(&trace, trace_path.as_ref());
 
     if speedup < 2.0 {

@@ -16,14 +16,8 @@ fn main() {
     let gamma = 0.5;
     let schedule = RewardSchedule::fixed_uncle_unbounded(0.5); // Ku = 4/8 Ks, any distance
     let scenario = Scenario::RegularRate;
-    let runs: u64 = std::env::var("SELETH_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let blocks: u64 = std::env::var("SELETH_BLOCKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", 10);
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", 100_000);
 
     println!("Fig. 8: revenue vs α (γ = {gamma}, Ku = 4/8, {runs} runs × {blocks} blocks)\n");
     println!(

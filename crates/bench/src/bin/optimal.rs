@@ -13,10 +13,7 @@ use seleth_mdp::{MdpConfig, RewardModel};
 
 fn main() {
     let gamma = 0.5;
-    let max_len: u32 = std::env::var("SELETH_MDP_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
+    let max_len: u32 = seleth_bench::env_knob("SELETH_MDP_LEN", 40);
 
     println!("Optimal strategies vs Algorithm 1 (γ = {gamma}, scenario 1, MDP len {max_len})\n");
     println!(

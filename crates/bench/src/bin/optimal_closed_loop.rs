@@ -145,9 +145,9 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 8 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 10_000 } else { 30_000 });
-    let aware_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 200)).unwrap_or(200);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", if smoke { 3 } else { 8 });
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", if smoke { 10_000 } else { 30_000 });
+    let aware_len: u32 = seleth_bench::env_knob("SELETH_MDP_LEN", 200);
     let specs: &[AwareSpec] = if smoke { &AWARE[..1] } else { AWARE };
 
     println!(

@@ -172,9 +172,9 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 6 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 10_000 } else { 40_000 });
-    let max_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", if smoke { 3 } else { 6 });
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", if smoke { 10_000 } else { 40_000 });
+    let max_len: u32 = seleth_bench::env_knob("SELETH_MDP_LEN", 30);
     let delays: &[f64] = if smoke {
         &[0.0, 6.0]
     } else {

@@ -114,9 +114,9 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", 8);
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", 50_000);
-    let max_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", 8);
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", 50_000);
+    let max_len: u32 = seleth_bench::env_knob("SELETH_MDP_LEN", 30);
 
     // One point below the γ = 0.5 profitability threshold (optimal play is
     // honest, ρ* = α), two above, plus the Ethereum-model point — gated

@@ -12,14 +12,8 @@ use seleth_sim::{multi, PoolStrategy, SimConfig};
 
 fn main() {
     let gamma = 0.5;
-    let runs: u64 = std::env::var("SELETH_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let blocks: u64 = std::env::var("SELETH_BLOCKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", 8);
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", 100_000);
     let scenario = Scenario::RegularRate;
 
     println!("Strategy comparison (γ = {gamma}, Ethereum Ku(·), {runs} runs × {blocks} blocks)\n");

@@ -10,14 +10,8 @@ use seleth_sim::{multi, SimConfig};
 
 fn main() {
     let gamma = 0.5;
-    let runs: u64 = std::env::var("SELETH_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let blocks: u64 = std::env::var("SELETH_BLOCKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", 10);
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", 100_000);
 
     println!("Table II: honest uncle reference distances (γ = {gamma})\n");
     let mut rows = Vec::new();

@@ -28,8 +28,17 @@
 //! | `strategy_zoo` | Hand-written strategy families vs the optimum, incl. multi-strategist matchups (`zoo_study.json`; lives in `seleth-zoo`) |
 //! | `chaos_study` | Strategic replay under injected faults: loss × churn × partition grid (`chaos_study.json`; lives in `seleth-zoo`) |
 //! | `ablation_truncation` | Model-truncation bias ablation |
-//! | `bench_solver` | Perf trajectory of the numeric kernels (`BENCH_solver.json`) |
-//! | `bench_sim`   | Simulator throughput trajectory (`BENCH_sim.json`) |
+//!
+//! Contract gates and tooling (the repository's benchmark is the separate
+//! `perfbench` package; these bins gate fixed speed contracts and print
+//! their measurements):
+//!
+//! | Binary         | What it measures or does |
+//! |----------------|--------------------------|
+//! | `bench_solver` | Numeric-kernel timings; gates the MDP expansion-reuse speed-up (`BENCH_solver.json`) |
+//! | `bench_sim`    | Simulator throughput; gates playback and recorder overheads (`BENCH_sim.json`) |
+//! | `bench_net`    | Gossip propagation and graph-mode throughput; gates graph vs uniform (`BENCH_net.json`) |
+//! | `perf_report`  | Renders the `"telemetry"` profile of study and bench JSONs |
 //!
 //! Binaries print the same rows/series the paper reports and write CSV
 //! files under `results/` (override with `SELETH_RESULTS`).
@@ -40,9 +49,12 @@
 // untrusted input; invariant violations use `expect` with a message.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
+use std::ffi::OsStr;
+use std::fmt;
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Instant;
 
 pub mod report;
@@ -51,6 +63,24 @@ pub mod report;
 /// else `./results` relative to the current directory.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("SELETH_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from)
+}
+
+/// Every top-level `*.json` file in `dir`, sorted by file name: the
+/// study and bench artifacts `perf_report` renders when named no files.
+///
+/// # Errors
+///
+/// Propagates the I/O error of reading `dir`.
+pub fn study_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut found = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_file() && path.extension().is_some_and(|e| e == "json") {
+            found.push(path);
+        }
+    }
+    found.sort();
+    Ok(found)
 }
 
 /// Directory holding exported policy artifacts: `$SELETH_POLICIES` if
@@ -135,11 +165,10 @@ pub fn json_f64(v: f64) -> String {
     format!("{v}")
 }
 
-/// The host fingerprint block shared by every perf artifact: both bench
-/// bins embed it as their `"host"` field and [`append_history_row`] stamps
-/// it into every ledger row, so the trend gate can restrict comparisons to
-/// rows from a comparable machine (`os`/`arch`/`available_parallelism` —
-/// the axes that move the headline numbers).
+/// The host fingerprint block shared by every perf artifact: the
+/// `bench_*` bins embed it as their `"host"` field, so a reader can tell
+/// which machine (`os`/`arch`/`available_parallelism` — the axes that
+/// move the headline numbers) a committed measurement came from.
 pub fn host_fingerprint_json() -> String {
     format!(
         "{{\"os\": \"{}\", \"arch\": \"{}\", \"available_parallelism\": {}}}",
@@ -147,74 +176,6 @@ pub fn host_fingerprint_json() -> String {
         std::env::consts::ARCH,
         std::thread::available_parallelism().map_or(1, |n| n.get())
     )
-}
-
-/// The current git commit sha, read by hand from `.git/HEAD` (following
-/// one `ref:` indirection, with a `packed-refs` fallback) — no subprocess,
-/// so the bins stay runnable in minimal containers. Walks up from the
-/// current directory to find the repository root; `"unknown"` outside a
-/// checkout.
-pub fn git_sha() -> String {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let head = dir.join(".git").join("HEAD");
-        if let Ok(text) = fs::read_to_string(&head) {
-            let text = text.trim();
-            let Some(refname) = text.strip_prefix("ref: ") else {
-                return text.to_string(); // detached HEAD: the sha itself
-            };
-            let refname = refname.trim();
-            if let Ok(sha) = fs::read_to_string(dir.join(".git").join(refname)) {
-                return sha.trim().to_string();
-            }
-            if let Ok(packed) = fs::read_to_string(dir.join(".git").join("packed-refs")) {
-                for line in packed.lines() {
-                    if let Some(sha) = line.strip_suffix(refname) {
-                        return sha.trim().to_string();
-                    }
-                }
-            }
-            return "unknown".to_string();
-        }
-        if !dir.pop() {
-            return "unknown".to_string();
-        }
-    }
-}
-
-/// Append one perf-trajectory snapshot row for `bin` to
-/// `BENCH_history.jsonl` in [`results_dir`]: git sha, Unix timestamp, the
-/// [`host_fingerprint_json`] block and the headline `metrics`. One row per
-/// bench run — the ledger the `perf_report --trend` gate walks.
-///
-/// # Panics
-///
-/// Panics on I/O failure: experiment binaries have no recovery path.
-pub fn append_history_row(bin: &str, metrics: &[(&str, f64)]) -> PathBuf {
-    let dir = results_dir();
-    fs::create_dir_all(&dir).expect("create results directory");
-    let path = dir.join("BENCH_history.jsonl");
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let metrics_json: Vec<String> = metrics
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {}", json_f64(*v)))
-        .collect();
-    let row = format!(
-        "{{\"bin\": \"{bin}\", \"git_sha\": \"{}\", \"unix_time\": {unix_time}, \
-         \"host\": {}, \"metrics\": {{{}}}}}\n",
-        git_sha(),
-        host_fingerprint_json(),
-        metrics_json.join(", ")
-    );
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .expect("open BENCH_history.jsonl");
-    file.write_all(row.as_bytes()).expect("append history row");
-    path
 }
 
 /// Write a text file (e.g. hand-rolled JSON) into [`results_dir`],
@@ -269,13 +230,43 @@ pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one repetition"))
 }
 
-/// Read an integer experiment knob from the environment, falling back to
-/// `default` when unset or unparsable.
-pub fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Read an integer experiment knob from the environment: `default` when
+/// `key` is unset, else its value parsed as `T`. A set value that does not
+/// parse, or does not fit `T` (`SELETH_BLOCKS=1e5`, or
+/// `SELETH_MDP_LEN=5000000000` for a `u32` truncation), ends the bin with
+/// exit code 2 and a message naming the key and the value, rather than
+/// silently running the default budget. The one knob reader of every bin.
+pub fn env_knob<T: FromStr>(key: &str, default: T) -> T
+where
+    T::Err: fmt::Display,
+{
+    match parse_knob(key, std::env::var_os(key).as_deref(), default) {
+        Ok(value) => value,
+        Err(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The parse step of [`env_knob`]: `raw` is the variable's value, `None`
+/// when unset. The error names the key and the offending value.
+fn parse_knob<T: FromStr>(key: &str, raw: Option<&OsStr>, default: T) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    let Some(text) = raw.to_str() else {
+        return Err(format!("{key}={raw:?}: not valid UTF-8"));
+    };
+    text.parse().map_err(|e| {
+        format!(
+            "{key}={text:?}: {e} (expected a {})",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 /// Inclusive floating-point range with a fixed step, robust to rounding
@@ -357,50 +348,40 @@ mod tests {
     }
 
     #[test]
-    fn history_rows_round_trip_through_the_trend_parser() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("seleth-bench-history-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("SELETH_RESULTS", &dir);
-        let path = append_history_row(
-            "bench_sim",
-            &[
-                ("single_run_blocks_per_sec", 1.0e6),
-                ("single_run_ms", 200.0),
-            ],
-        );
-        append_history_row(
-            "bench_sim",
-            &[
-                ("single_run_blocks_per_sec", 1.05e6),
-                ("single_run_ms", 190.0),
-            ],
-        );
-        std::env::remove_var("SELETH_RESULTS");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rows = seleth_obs::parse_history(&text).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].bin, "bench_sim");
-        // Both rows carry this host's fingerprint, so they are comparable.
-        assert_eq!(rows[0].host, rows[1].host);
-        assert!(rows[0].host.contains(std::env::consts::ARCH));
-        let report = seleth_obs::evaluate_trend(&rows, 1.5);
-        assert!(report.passed(), "{}", report.rendered);
+    fn knobs_parse_or_name_the_bad_value() {
+        let knob = |raw: Option<&str>| parse_knob::<u32>("SELETH_MDP_LEN", raw.map(OsStr::new), 30);
+        // Unset keeps the default; a valid value is taken as is.
+        assert_eq!(knob(None), Ok(30));
+        assert_eq!(knob(Some("16")), Ok(16));
+        // Unparsable and out-of-range values are errors naming key and value.
+        let err = knob(Some("1e5")).unwrap_err();
+        assert!(err.contains("SELETH_MDP_LEN=\"1e5\""), "{err}");
+        let err = knob(Some("5000000000")).unwrap_err();
+        assert!(err.contains("SELETH_MDP_LEN=\"5000000000\""), "{err}");
+        assert!(err.contains("too large"), "{err}");
+        // The same value fits a u64 knob.
         assert_eq!(
-            report.compared, 2,
-            "both metrics of the bench_sim pair compare"
+            parse_knob::<u64>("SELETH_BLOCKS", Some(OsStr::new("5000000000")), 1),
+            Ok(5_000_000_000)
         );
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn git_sha_reads_this_checkout() {
-        let sha = git_sha();
-        // This test runs inside the repository, so a real sha is expected:
-        // 40 hex characters, stable across two reads.
-        assert_eq!(sha.len(), 40, "sha: {sha}");
-        assert!(sha.chars().all(|c| c.is_ascii_hexdigit()));
-        assert_eq!(sha, git_sha());
+    fn study_files_are_top_level_json_sorted_by_name() {
+        let dir = std::env::temp_dir().join("seleth-bench-study-files-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("policies")).unwrap();
+        for name in ["b.json", "a.json", "notes.txt", "policies/p.json"] {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
+        let names: Vec<_> = study_files(&dir)
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["a.json", "b.json"]);
+        assert!(study_files(&dir.join("missing")).is_err());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Zero-dependency telemetry core for the selfish-ethereum workspace.
 //!
 //! The crate is hand-rolled (no external dependencies, matching the offline
-//! `vendor/` policy) and provides six layers:
+//! `vendor/` policy) and provides five layers:
 //!
 //! * **Primitives** ([`metrics`]): fixed-bucket power-of-two
 //!   [`Histogram`]s and a monotonic [`Stopwatch`] for scoped timing.
@@ -22,9 +22,6 @@
 //!   of canonical structured events with a rolling splitmix64 digest and
 //!   periodic checkpoints; [`trace_diff`] localizes the first divergent
 //!   event between two recordings when a bit-identity gate fails.
-//! * **Trend** ([`trend`]): parsing and noise-aware regression evaluation
-//!   of the `results/BENCH_history.jsonl` perf-trajectory ledger (the
-//!   `perf_report --trend` gate).
 //!
 //! Determinism contract: counter and histogram-bucket totals are plain
 //! `u64` sums of per-task values, so a merged [`Telemetry`] is invariant to
@@ -42,7 +39,6 @@ pub mod metrics;
 pub mod profile;
 pub mod recorder;
 pub mod telemetry;
-pub mod trend;
 
 pub use events::{trace_diff, Divergence, Event, EventKind, EventLog};
 pub use json::{parse_json, JsonError, JsonValue};
@@ -50,4 +46,3 @@ pub use metrics::{Histogram, Stopwatch};
 pub use profile::render_profile;
 pub use recorder::{NoopRecorder, Recorder, SpanEvent, TraceLog};
 pub use telemetry::{Telemetry, TelemetryShard, WorkerStats};
-pub use trend::{evaluate_trend, parse_history, TrendReport, TrendRow};

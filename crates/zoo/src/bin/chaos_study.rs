@@ -209,10 +209,10 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 2 } else { 4 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 6_000 } else { 30_000 });
-    let max_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
-    let fault_seed = seleth_bench::env_u64("SELETH_FAULT_SEED", 90_210);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", if smoke { 2 } else { 4 });
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", if smoke { 6_000 } else { 30_000 });
+    let max_len: u32 = seleth_bench::env_knob("SELETH_MDP_LEN", 30);
+    let fault_seed: u64 = seleth_bench::env_knob("SELETH_FAULT_SEED", 90_210);
 
     let artifact = seleth_bench::load_or_solve_policy(
         "bitcoin_a040_g050",

@@ -107,10 +107,10 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 8 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 8_000 } else { 30_000 });
-    let mdp_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
-    let zoo_len = u32::try_from(seleth_bench::env_u64("SELETH_ZOO_LEN", 64)).unwrap_or(64);
+    let runs: u64 = seleth_bench::env_knob("SELETH_RUNS", if smoke { 3 } else { 8 });
+    let blocks: u64 = seleth_bench::env_knob("SELETH_BLOCKS", if smoke { 8_000 } else { 30_000 });
+    let mdp_len: u32 = seleth_bench::env_knob("SELETH_MDP_LEN", 30);
+    let zoo_len: u32 = seleth_bench::env_knob("SELETH_ZOO_LEN", 64);
     let delays: &[f64] = if smoke { &[0.0, 6.0] } else { &[0.0, 2.0, 6.0] };
     let points: &[Point] = if smoke { &POINTS[1..2] } else { POINTS };
 

@@ -85,9 +85,8 @@ pub mod prelude {
         Latency, Link, NetError, NodeRole, Propagation, Topology, TopologyBuilder,
     };
     pub use seleth_obs::{
-        evaluate_trend, parse_history, trace_diff, Divergence, Event, EventKind, EventLog,
-        NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog, TrendReport,
-        TrendRow,
+        trace_diff, Divergence, Event, EventKind, EventLog, NoopRecorder, Recorder, Stopwatch,
+        Telemetry, TelemetryShard, TraceLog,
     };
     pub use seleth_sim::delay::{
         DelayConfig, DelayCounters, DelayReport, DelaySimulation, MinerStrategy, PropagationModel,

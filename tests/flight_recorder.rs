@@ -1,7 +1,7 @@
-//! Tier-1 gates for the flight recorder, the first-divergence debugger
-//! and the perf-trend ledger gate.
+//! Tier-1 gates for the flight recorder and the first-divergence
+//! debugger.
 //!
-//! Four contracts:
+//! Three contracts:
 //!
 //! 1. *Recording is bit-neutral*: attaching an [`EventLog`] to either
 //!    engine — including the `FaultPlan::none()` configuration whose
@@ -17,9 +17,6 @@
 //! 3. *Ring/checkpoint coherence*: at every capacity (including 0 =
 //!    disabled) the rolling digest is capacity-independent and identical
 //!    traces never report a divergence.
-//! 4. *Trend gate*: a synthetic 2× slowdown row appended to a clean
-//!    ledger trips `evaluate_trend` (the engine behind
-//!    `perf_report --trend`), while clean back-to-back rows pass.
 
 use selfish_ethereum::prelude::*;
 
@@ -281,90 +278,6 @@ fn digest_is_capacity_independent_and_identity_never_diverges() {
             "identical traces never diverge (capacity={capacity})"
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// 4. Trend gate
-// ---------------------------------------------------------------------
-
-fn ledger_row(bin: &str, metrics: &str) -> String {
-    format!(
-        "{{\"bin\": \"{bin}\", \"git_sha\": \"deadbeef\", \"unix_time\": 1, \
-         \"host\": {{\"os\": \"linux\", \"arch\": \"x86_64\", \
-         \"available_parallelism\": 1}}, \"metrics\": {{{metrics}}}}}\n"
-    )
-}
-
-#[test]
-fn trend_gate_trips_on_synthetic_slowdown_and_passes_clean_reruns() {
-    // Clean back-to-back runs (small jitter) pass.
-    let clean = format!(
-        "{}{}",
-        ledger_row(
-            "bench_solver",
-            "\"mdp_solve_ms\": 100.0, \"csr_spmv_ns\": 5000.0"
-        ),
-        ledger_row(
-            "bench_solver",
-            "\"mdp_solve_ms\": 104.0, \"csr_spmv_ns\": 4900.0"
-        ),
-    );
-    let rows = parse_history(&clean).expect("ledger parses");
-    let report = evaluate_trend(&rows, 1.5);
-    assert!(report.passed(), "{}", report.rendered);
-    assert_eq!(report.compared, 2);
-
-    // A synthetic 2× slowdown on a lower-better metric trips the gate.
-    let slow = format!(
-        "{clean}{}",
-        ledger_row(
-            "bench_solver",
-            "\"mdp_solve_ms\": 208.0, \"csr_spmv_ns\": 4950.0"
-        )
-    );
-    let rows = parse_history(&slow).expect("ledger parses");
-    let report = evaluate_trend(&rows, 1.5);
-    assert!(!report.passed(), "{}", report.rendered);
-    assert!(
-        report
-            .regressions
-            .iter()
-            .any(|r| r.contains("mdp_solve_ms")),
-        "{:?}",
-        report.regressions
-    );
-
-    // A 2× throughput drop on a higher-better metric trips it too.
-    let rate_drop = format!(
-        "{}{}",
-        ledger_row("bench_sim", "\"single_run_blocks_per_sec\": 2000000"),
-        ledger_row("bench_sim", "\"single_run_blocks_per_sec\": 1000000"),
-    );
-    let rows = parse_history(&rate_drop).expect("ledger parses");
-    assert!(!evaluate_trend(&rows, 1.5).passed());
-
-    // Rows from a *different* host never gate against each other.
-    let cross_host = format!(
-        "{}{}",
-        ledger_row("bench_sim", "\"single_run_blocks_per_sec\": 2000000"),
-        ledger_row("bench_sim", "\"single_run_blocks_per_sec\": 1000000").replace(
-            "\"available_parallelism\": 1",
-            "\"available_parallelism\": 8"
-        ),
-    );
-    let rows = parse_history(&cross_host).expect("ledger parses");
-    let report = evaluate_trend(&rows, 1.5);
-    assert!(report.passed(), "{}", report.rendered);
-    assert_eq!(report.compared, 0, "no comparable-host baseline");
-
-    // A single-row (seeding) ledger and an empty one pass.
-    let rows = parse_history(&ledger_row(
-        "bench_sim",
-        "\"single_run_blocks_per_sec\": 1.0",
-    ))
-    .unwrap();
-    assert!(evaluate_trend(&rows, 1.5).passed());
-    assert!(evaluate_trend(&[], 1.5).passed());
 }
 
 /// The committed `BENCH_sim.json` certifies the disabled-recorder gate

@@ -5,18 +5,6 @@
 
 use std::path::Path;
 
-/// Every study JSON committed under `results/`.
-const STUDIES: [&str; 8] = [
-    "BENCH_sim.json",
-    "BENCH_solver.json",
-    "BENCH_net.json",
-    "optimal_sim.json",
-    "delay_study.json",
-    "zoo_study.json",
-    "chaos_study.json",
-    "topology_study.json",
-];
-
 fn render(name: &str) -> String {
     let path = Path::new("results").join(name);
     let text = std::fs::read_to_string(&path)
@@ -26,7 +14,12 @@ fn render(name: &str) -> String {
 
 #[test]
 fn every_committed_study_renders_with_telemetry() {
-    for name in STUDIES {
+    // The same walk `perf_report` does when named no files.
+    let studies = seleth_bench::study_files(Path::new("results")).expect("committed results dir");
+    assert!(!studies.is_empty(), "at least one committed study");
+    for path in studies {
+        let name = path.file_name().expect("file name").to_string_lossy();
+        let name = name.as_ref();
         let report = render(name);
         assert!(report.contains(name), "{name}: header names the file");
         assert!(
